@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from .groups import FiniteGroup, GroupElement
 from .operad import CapExceeded
 from .relations import (GENERATORS, MorphismWord, apply_generator,
-                        build_source, load_relation_table,
-                        relation_assignments)
+                        build_source, relation_assignments, relation_entries,
+                        tally)
 from .trees import GTree, output_color, subtree_at, validate
 
 
@@ -148,6 +148,11 @@ class CrossedAlgebraData:
 
     @classmethod
     def from_json(cls, group: FiniteGroup, payload: dict) -> "CrossedAlgebraData":
+        if not (isinstance(payload, dict)
+                and isinstance(payload.get("values"), dict)
+                and isinstance(payload.get("modulus"), int)):
+            raise AlgebraError("data must be a JSON object with a 'values' "
+                               "object and an integer 'modulus'")
         if payload.get("group") != group.label:
             raise AlgebraError(
                 f"data is for group {payload.get('group')!r}, not {group.label!r}")
@@ -186,12 +191,9 @@ def coherence_equations(group: FiniteGroup, relation_ids=None):
     sides with identical variable content cancel to nothing and are
     dropped.  Duplicate equations are kept once, in first-seen order.
     """
-    table = load_relation_table()
-    if relation_ids is not None:
-        table = [e for e in table if e["id"] in set(relation_ids)]
     seen = set()
     equations = []
-    for entry in table:
+    for entry in relation_entries(relation_ids):
         lhs = MorphismWord.from_json(entry["lhs"])
         rhs = MorphismWord.from_json(entry["rhs"])
         for assignment in relation_assignments(group, entry):
@@ -214,34 +216,28 @@ def coherence_equations(group: FiniteGroup, relation_ids=None):
     return equations
 
 
+def _coherence_outcomes(data: CrossedAlgebraData, entry: dict):
+    lhs = MorphismWord.from_json(entry["lhs"])
+    rhs = MorphismWord.from_json(entry["rhs"])
+    for assignment in relation_assignments(data.group, entry):
+        source = build_source(entry, data.group, assignment)
+        left = evaluate_morphism(data, source, lhs)
+        right = evaluate_morphism(data, source, rhs)
+        yield None if left == right else {
+            "assignment": {k: v.index for k, v in assignment.items()},
+            "lhs": left,
+            "rhs": right,
+        }
+
+
 def check_coherence(data: CrossedAlgebraData, relation_ids=None,
                     max_reported: int = 20) -> dict:
     """Evaluate every relation instance on both sides and compare."""
-    group = data.group
-    table = load_relation_table()
-    if relation_ids is not None:
-        table = [e for e in table if e["id"] in set(relation_ids)]
     relations = []
     total_failures = 0
-    for entry in table:
-        lhs = MorphismWord.from_json(entry["lhs"])
-        rhs = MorphismWord.from_json(entry["rhs"])
-        checked = 0
-        failures = []
-        failure_count = 0
-        for assignment in relation_assignments(group, entry):
-            source = build_source(entry, group, assignment)
-            left = evaluate_morphism(data, source, lhs)
-            right = evaluate_morphism(data, source, rhs)
-            checked += 1
-            if left != right:
-                failure_count += 1
-                if len(failures) < max_reported:
-                    failures.append({
-                        "assignment": {k: v.index for k, v in assignment.items()},
-                        "lhs": left,
-                        "rhs": right,
-                    })
+    for entry in relation_entries(relation_ids):
+        checked, failure_count, failures = tally(
+            _coherence_outcomes(data, entry), max_reported)
         total_failures += failure_count
         relations.append({
             "relation": entry["id"],
@@ -250,7 +246,7 @@ def check_coherence(data: CrossedAlgebraData, relation_ids=None,
             "failures": failures,
         })
     return {
-        "group": group.label,
+        "group": data.group.label,
         "modulus": data.modulus,
         "relations": relations,
         "total_failures": total_failures,
@@ -265,7 +261,10 @@ def solve_coherence(group: FiniteGroup, modulus: int = 2, relation_ids=None,
     Plain depth-first backtracking over the canonical variable order.  An
     equation prunes as soon as its last variable is assigned.  Every value
     trial counts against ``cap``; exceeding it raises :class:`CapExceeded`.
+    A modulus below 1 raises :class:`AlgebraError`.
     """
+    if modulus < 1:
+        raise AlgebraError("modulus must be positive")
     order = variable_order(group)
     index = {v: i for i, v in enumerate(order)}
     due: list[list[dict]] = [[] for _ in order]

@@ -38,8 +38,8 @@ from .groups import FiniteGroup, GroupError, make_group
 from .hurwitz import (DecoratedTuple, component_objects, format_signature,
                       format_tuple, orbit, parse_signature, pi0_component,
                       pi0_hurwitz_space, HurwitzError)
-from .operad import Bounds, CapExceeded, check_operad_axioms, pi0_operad
-from .relations import RELATION_IDS, RelationError, check_all_relations, get_relation
+from .operad import Bounds, CapExceeded, check_operad_axioms
+from .relations import RelationError, check_all_relations, relation_entries
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -135,12 +135,11 @@ def _run_orbits(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]
     results["points"] = len(points)
     if args.sample:
         rng = random.Random(config.seed)
-        samples = []
-        for _ in range(args.sample):
-            start = rng.choice(points)
-            samples.append({"start": _decorated_json(start),
-                            "orbit_size": len(orbit(start))})
-        results["samples"] = samples
+        starts = [rng.choice(points) for _ in range(args.sample)] \
+            if points else []
+        results["samples"] = [{"start": _decorated_json(start),
+                               "orbit_size": len(orbit(start))}
+                              for start in starts]
     else:
         if args.signature:
             classes = pi0_component(sig.inputs, sig.output)
@@ -162,9 +161,9 @@ def _relation_worker(spec: str, relation_id: str, mutate, cap):
 
 def _run_check(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]:
     bounds = Bounds(*config.bounds)
-    ids = list(config.relations) if config.relations else list(RELATION_IDS)
-    for rid in ids:
-        get_relation(rid)  # unknown names are usage errors, raised early
+    # unknown names are usage errors, raised early
+    entries = relation_entries(config.relations)
+    ids = [entry["id"] for entry in entries]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             futures = [pool.submit(_relation_worker, config.group, rid,
@@ -176,17 +175,15 @@ def _run_check(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]:
                                     bounds.cap) for rid in ids]
     relation_failures = sum(r["failure_count"] for r in reports)
     capped = any(
-        r["assignments_checked"] <
-        group.order ** len(get_relation(r["relation"])["symbols"])
-        for r in reports)
+        report["assignments_checked"] < group.order ** len(entry["symbols"])
+        for report, entry in zip(reports, entries))
     results = {
         "relations": reports,
         "relation_failures": relation_failures,
     }
     failures = relation_failures
     if config.operad:
-        model = pi0_operad(group, bounds)
-        operad_report = check_operad_axioms(model)
+        operad_report = check_operad_axioms(group, bounds)
         results["operad"] = operad_report
         failures += operad_report["total_failures"]
         capped = capped or not operad_report["complete"]
@@ -242,8 +239,9 @@ def _add_common(parser, defaults: bool) -> None:
     parser.add_argument("--format", choices=("json", "csv"),
                         default=d("json"))
     parser.add_argument("--seed", type=int, default=d(0))
+    # a string default goes through type=int, so a bad value is a usage error
     parser.add_argument("--jobs", type=int,
-                        default=d(int(os.environ.get("GBRAIDS_JOBS", "1"))))
+                        default=d(os.environ.get("GBRAIDS_JOBS", "1")))
     parser.add_argument("--bounds", default=d(""),
                         help="arity=3,order=6,cap=1000000")
 

@@ -2,13 +2,15 @@
 
 Operations of arity r colored by a group G are the normal forms: a slot
 permutation, a decoration per position, and a color per slot, with the
-boundary output determined by the holonomy product.  Slot grafting
-(``compose_normal``) makes these a colored operad on the nose; symmetric
-groups act by relabeling slots.  ``check_operad_axioms`` walks deterministic
-streams of axiom instances — sequential and parallel associativity, both
-unit laws, and both equivariance laws — and verifies each by direct
-computation, stopping at a configurable instance cap since the full instance
-space grows with ``|G|^(2r) r!``.
+boundary output determined by the holonomy product (``color_condition``).
+Slot grafting (``compose_normal``) makes these a colored operad on the nose,
+with units ``identity_normal_form``; symmetric groups act by relabeling
+slots (``sigma_action``).  ``all_operations`` lists the operations of one
+arity over a group.  ``check_operad_axioms`` walks deterministic streams of
+axiom instances — sequential and parallel associativity, both unit laws,
+and both equivariance laws — and verifies each by direct computation,
+stopping at a configurable instance cap since the full instance space grows
+with ``|G|^(2r) r!``.
 
 A report is complete when every stream was exhausted below the cap;
 otherwise it is a capped prefix of the (fixed) enumeration order.
@@ -20,8 +22,9 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .braids import Permutation, all_permutations, cable_permutation
-from .groups import FiniteGroup, GroupElement
-from .hurwitz import DecoratedTuple, color_condition, component_objects, pi0_component
+from .groups import FiniteGroup
+from .hurwitz import DecoratedTuple, color_condition, component_objects
+from .relations import tally
 from .trees import compose_normal, identity_normal_form
 
 
@@ -51,141 +54,107 @@ def sigma_action(x: DecoratedTuple, rho: Permutation) -> DecoratedTuple:
 
 @lru_cache(maxsize=256)
 def _component(colors, output):
+    """The operations with these input colors and this output color."""
     return tuple(component_objects(colors, output))
 
 
-class ColoredOperadModel:
-    """All operations over one finite group, within stated bounds."""
-
-    def __init__(self, group: FiniteGroup, bounds: Bounds = Bounds()):
-        if group.order > bounds.max_order:
-            raise OperadError(
-                f"group order {group.order} exceeds bound {bounds.max_order}")
-        self.group = group
-        self.bounds = bounds
-
-    def colors(self):
-        return self.group.elements()
-
-    def operations(self, colors: tuple[GroupElement, ...],
-                   output: GroupElement) -> tuple[DecoratedTuple, ...]:
-        if len(colors) > self.bounds.max_arity:
-            raise OperadError("arity exceeds bound")
-        return _component(tuple(colors), output)
-
-    def all_operations(self, r: int):
-        """Every operation of arity r, in a fixed lexicographic order."""
-        if r > self.bounds.max_arity:
-            raise OperadError("arity exceeds bound")
-        for colors in itertools.product(self.group.elements(), repeat=r):
-            for sigma in all_permutations(r):
-                for b in itertools.product(self.group.elements(), repeat=r):
-                    yield DecoratedTuple(b, sigma, colors)
-
-    def output(self, x: DecoratedTuple) -> GroupElement:
-        return color_condition(x.sigma, x.b, x.colors)
-
-    def compose(self, x: DecoratedTuple, j: int,
-                y: DecoratedTuple) -> DecoratedTuple:
-        return compose_normal(x, j, y)
-
-    def identity(self, color: GroupElement) -> DecoratedTuple:
-        return identity_normal_form(color)
-
-    def act(self, x: DecoratedTuple, rho: Permutation) -> DecoratedTuple:
-        return sigma_action(x, rho)
-
-    def pi0(self, colors, output):
-        return pi0_component(tuple(colors), output)
-
-
-def pi0_operad(group: FiniteGroup, bounds: Bounds = Bounds()) -> ColoredOperadModel:
-    return ColoredOperadModel(group, bounds)
+def all_operations(group: FiniteGroup, r: int):
+    """Every operation of arity r, in a fixed lexicographic order."""
+    elements = group.elements()
+    for colors in itertools.product(elements, repeat=r):
+        for sigma in all_permutations(r):
+            for b in itertools.product(elements, repeat=r):
+                yield DecoratedTuple(b, sigma, colors)
 
 
 # -- axiom checking ------------------------------------------------------
+#
+# Each stream yields None for an instance that holds and its description
+# for one that fails.
 
 
-def _arities(model, count):
-    rng = range(1, model.bounds.max_arity + 1)
-    return itertools.product(rng, repeat=count)
+def _arities(bounds, count):
+    return itertools.product(range(1, bounds.max_arity + 1), repeat=count)
 
 
-def _sequential_instances(model):
-    group = model.group
+def _sequential_instances(group, bounds):
+    elements = group.elements()
     # composites may exceed the arity bound; only enumerated factors are
     # bounded
-    for r, s, t in _arities(model, 3):
+    for r, s, t in _arities(bounds, 3):
         for j in range(1, r + 1):
             for k in range(1, s + 1):
-                for x in model.all_operations(r):
+                for x in all_operations(group, r):
                     need = x.colors[j - 1]
-                    for cy in itertools.product(group.elements(), repeat=s):
-                        for y in model.operations(cy, need):
+                    for cy in itertools.product(elements, repeat=s):
+                        for y in _component(cy, need):
                             inner_need = y.colors[k - 1]
-                            for cz in itertools.product(group.elements(), repeat=t):
-                                for z in model.operations(cz, inner_need):
-                                    lhs = model.compose(
-                                        model.compose(x, j, y), j + k - 1, z)
-                                    rhs = model.compose(
-                                        x, j, model.compose(y, k, z))
-                                    yield (f"r={r} s={s} t={t} j={j} k={k}",
-                                           lhs == rhs)
+                            for cz in itertools.product(elements, repeat=t):
+                                for z in _component(cz, inner_need):
+                                    lhs = compose_normal(
+                                        compose_normal(x, j, y), j + k - 1, z)
+                                    rhs = compose_normal(
+                                        x, j, compose_normal(y, k, z))
+                                    yield None if lhs == rhs else \
+                                        f"r={r} s={s} t={t} j={j} k={k}"
 
 
-def _parallel_instances(model):
-    group = model.group
-    for r, s, t in _arities(model, 3):
+def _parallel_instances(group, bounds):
+    elements = group.elements()
+    for r, s, t in _arities(bounds, 3):
         if r < 2:
             continue
         for j in range(1, r + 1):
             for i in range(j + 1, r + 1):
-                for x in model.all_operations(r):
-                    for cy in itertools.product(group.elements(), repeat=s):
-                        for y in model.operations(cy, x.colors[j - 1]):
-                            for cz in itertools.product(group.elements(), repeat=t):
-                                for z in model.operations(cz, x.colors[i - 1]):
-                                    lhs = model.compose(
-                                        model.compose(x, j, y), i + s - 1, z)
-                                    rhs = model.compose(
-                                        model.compose(x, i, z), j, y)
-                                    yield (f"r={r} s={s} t={t} j={j} i={i}",
-                                           lhs == rhs)
+                for x in all_operations(group, r):
+                    for cy in itertools.product(elements, repeat=s):
+                        for y in _component(cy, x.colors[j - 1]):
+                            for cz in itertools.product(elements, repeat=t):
+                                for z in _component(cz, x.colors[i - 1]):
+                                    lhs = compose_normal(
+                                        compose_normal(x, j, y), i + s - 1, z)
+                                    rhs = compose_normal(
+                                        compose_normal(x, i, z), j, y)
+                                    yield None if lhs == rhs else \
+                                        f"r={r} s={s} t={t} j={j} i={i}"
 
 
-def _unit_instances(model):
-    for r in range(1, model.bounds.max_arity + 1):
-        for x in model.all_operations(r):
-            ok = model.compose(identity_normal_form(model.output(x)), 1, x) == x
+def _unit_instances(group, bounds):
+    for r in range(1, bounds.max_arity + 1):
+        for x in all_operations(group, r):
+            output = color_condition(x.sigma, x.b, x.colors)
+            ok = compose_normal(identity_normal_form(output), 1, x) == x
             for j in range(1, r + 1):
                 ok = ok and \
-                    model.compose(x, j, identity_normal_form(x.colors[j - 1])) == x
-            yield (f"r={r}", ok)
+                    compose_normal(x, j, identity_normal_form(x.colors[j - 1])) == x
+            yield None if ok else f"r={r}"
 
 
-def _equivariance_instances(model):
-    group = model.group
-    for r, s in _arities(model, 2):
+def _equivariance_instances(group, bounds):
+    elements = group.elements()
+    for r, s in _arities(bounds, 2):
         perms_r = all_permutations(r)
         perms_s = all_permutations(s)
         for j in range(1, r + 1):
-            for x in model.all_operations(r):
-                for cy in itertools.product(group.elements(), repeat=s):
+            for x in all_operations(group, r):
+                for cy in itertools.product(elements, repeat=s):
                     for rho in perms_r:
                         moved = sigma_action(x, rho)
-                        for y in model.operations(cy, moved.colors[j - 1]):
-                            lhs = model.compose(moved, j, y)
+                        for y in _component(cy, moved.colors[j - 1]):
+                            lhs = compose_normal(moved, j, y)
                             rhs = sigma_action(
-                                model.compose(x, rho(j), y),
+                                compose_normal(x, rho(j), y),
                                 cable_permutation(rho, j, Permutation.identity(s)))
-                            yield (f"outer r={r} s={s} j={j}", lhs == rhs)
+                            yield None if lhs == rhs else \
+                                f"outer r={r} s={s} j={j}"
                     for rho in perms_s:
-                        for y in model.operations(cy, x.colors[j - 1]):
-                            lhs = model.compose(x, j, sigma_action(y, rho))
+                        for y in _component(cy, x.colors[j - 1]):
+                            lhs = compose_normal(x, j, sigma_action(y, rho))
                             rhs = sigma_action(
-                                model.compose(x, j, y),
+                                compose_normal(x, j, y),
                                 cable_permutation(Permutation.identity(r), j, rho))
-                            yield (f"inner r={r} s={s} j={j}", lhs == rhs)
+                            yield None if lhs == rhs else \
+                                f"inner r={r} s={s} j={j}"
 
 
 _AXIOM_STREAMS = (
@@ -195,26 +164,25 @@ _AXIOM_STREAMS = (
     ("equivariance", _equivariance_instances),
 )
 
+_END = object()
 
-def check_operad_axioms(model: ColoredOperadModel,
+
+def check_operad_axioms(group: FiniteGroup, bounds: Bounds = Bounds(),
                         max_reported: int = 10) -> dict:
-    """Walk each axiom stream up to the model's instance cap."""
-    cap = model.bounds.cap
+    """Walk each axiom stream over the group up to the instance cap.  A group
+    of order above ``bounds.max_order`` raises :class:`OperadError`."""
+    if group.order > bounds.max_order:
+        raise OperadError(
+            f"group order {group.order} exceeds bound {bounds.max_order}")
+    cap = bounds.cap
     axioms = []
     total_failures = 0
     complete = True
     for name, stream in _AXIOM_STREAMS:
-        instances = 0
-        failures = []
-        failure_count = 0
-        it = stream(model)
-        for desc, ok in itertools.islice(it, cap):
-            instances += 1
-            if not ok:
-                failure_count += 1
-                if len(failures) < max_reported:
-                    failures.append(desc)
-        if instances == cap and next(it, None) is not None:
+        it = stream(group, bounds)
+        instances, failure_count, failures = tally(
+            itertools.islice(it, cap), max_reported)
+        if instances == cap and next(it, _END) is not _END:
             complete = False
         total_failures += failure_count
         axioms.append({
@@ -224,8 +192,8 @@ def check_operad_axioms(model: ColoredOperadModel,
             "failures": failures,
         })
     return {
-        "group": model.group.label,
-        "bounds": asdict(model.bounds),
+        "group": group.label,
+        "bounds": asdict(bounds),
         "axioms": axioms,
         "total_failures": total_failures,
         "complete": complete,

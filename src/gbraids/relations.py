@@ -251,6 +251,31 @@ def get_relation(relation_id: str) -> dict:
     raise RelationError(f"no relation named {relation_id!r}")
 
 
+def relation_entries(relation_ids=None) -> list[dict]:
+    """The table entries named by ``relation_ids`` (ids or aliases), in that
+    order; the whole table when it is None.  An unknown name raises
+    :class:`RelationError`."""
+    if relation_ids is None:
+        return load_relation_table()
+    return [get_relation(rid) for rid in relation_ids]
+
+
+def tally(outcomes, max_reported: int) -> tuple[int, int, list]:
+    """Count a stream of instance outcomes, each None when the instance
+    holds and a description of the failure otherwise.  Returns the number of
+    instances, the number of failures and the first ``max_reported``
+    descriptions."""
+    instances = failure_count = 0
+    failures = []
+    for outcome in outcomes:
+        instances += 1
+        if outcome is not None:
+            failure_count += 1
+            if len(failures) < max_reported:
+                failures.append(outcome)
+    return instances, failure_count, failures
+
+
 def build_source(relation: dict, group: FiniteGroup,
                  assignment: dict[str, GroupElement]) -> GTree:
     symbols = dict(assignment)
@@ -286,6 +311,15 @@ def relation_assignments(group: FiniteGroup, relation: dict):
         yield dict(zip(names, values))
 
 
+def _relation_outcomes(group, entry, assignments, mutate):
+    for assignment in assignments:
+        reason = check_relation(group, entry, assignment, mutate=mutate)
+        yield None if reason is None else {
+            "assignment": {k: v.index for k, v in assignment.items()},
+            "reason": reason,
+        }
+
+
 def check_all_relations(group: FiniteGroup,
                         relation_ids=None,
                         mutate: Optional[str] = None,
@@ -293,29 +327,15 @@ def check_all_relations(group: FiniteGroup,
                         max_reported: int = 20) -> dict:
     """Verify every table relation for every symbol assignment over the
     group, in deterministic order.  Returns a JSON-ready report."""
-    if relation_ids is None:
-        entries = load_relation_table()
-    else:
-        entries = [get_relation(rid) for rid in relation_ids]
     results = []
     total_failures = 0
-    for entry in entries:
+    for entry in relation_entries(relation_ids):
         assignments = relation_assignments(group, entry)
         if assignment_cap is not None:
             assignments = itertools.islice(assignments, assignment_cap)
-        checked = 0
-        failures = []
-        failure_count = 0
-        for assignment in assignments:
-            checked += 1
-            reason = check_relation(group, entry, assignment, mutate=mutate)
-            if reason is not None:
-                failure_count += 1
-                if len(failures) < max_reported:
-                    failures.append({
-                        "assignment": {k: v.index for k, v in assignment.items()},
-                        "reason": reason,
-                    })
+        checked, failure_count, failures = tally(
+            _relation_outcomes(group, entry, assignments, mutate),
+            max_reported)
         total_failures += failure_count
         results.append({
             "relation": entry["id"],

@@ -129,30 +129,36 @@ def output_color(t: GTree, group: Optional[FiniteGroup] = None) -> GroupElement:
     return g.elements()[acc]
 
 
+def _checked_leaves(t: GTree, group: Optional[FiniteGroup]):
+    """The ``_leaves`` walk plus the checks of ``validate``: a group other
+    than that of the first leaf or label, or than ``group`` when both are
+    given, raises ``TreeError``, and so do slots that are not 1..r, each
+    once.  Returns the group (``group`` for an all-unit tree), the
+    decoration of each position, and per slot its position and its color."""
+    g, entries = _leaves(t, TreeError)
+    if g is None:
+        g = group
+    elif group is not None and group is not g:
+        raise TreeError(f"mixed groups in one tree: {g.label} "
+                        f"vs {group.label}")
+    r = len(entries)
+    els = g.elements() if g is not None else ()  # no entries without a group
+    images = [0] * r
+    colors = [None] * r
+    decorations = []
+    for position, (slot, label, color) in enumerate(entries, start=1):
+        if not 1 <= slot <= r or images[slot - 1]:
+            raise TreeError(
+                f"bad slot numbering {sorted(e[0] for e in entries)}")
+        images[slot - 1] = position
+        colors[slot - 1] = color
+        decorations.append(els[label])
+    return g, decorations, images, colors
+
+
 def validate(t: GTree, group: Optional[FiniteGroup] = None) -> int:
     """Check slot numbering (1..r, each once) and group consistency; return r."""
-    slots = []
-    groups = set()
-
-    def walk(node):
-        if isinstance(node, InputLeaf):
-            slots.append(node.slot)
-            groups.add(node.color.group)
-        elif isinstance(node, LabelEdge):
-            groups.add(node.label.group)
-            walk(node.child)
-        elif isinstance(node, Tensor):
-            walk(node.left)
-            walk(node.right)
-
-    walk(t)
-    if group is not None:
-        groups.add(group)
-    if len(groups) > 1:
-        raise TreeError("mixed groups in one tree")
-    if sorted(slots) != list(range(1, len(slots) + 1)):
-        raise TreeError(f"bad slot numbering {sorted(slots)}")
-    return len(slots)
+    return len(_checked_leaves(t, group)[1])
 
 
 # -- navigation ----------------------------------------------------------
@@ -207,31 +213,11 @@ def leaf_offset(t: GTree, path: tuple[int, ...]) -> int:
 
 
 def normalize(t: GTree, group: Optional[FiniteGroup] = None) -> NormalForm:
-    """The normal form of a tree, in one pass that also makes the checks of
-    ``validate``: a group other than that of the first leaf or label, or than
-    ``group`` when both are given, raises ``TreeError``, and so do slots that
-    are not 1..r, each once.  ``group`` is needed only for an all-unit
-    tree."""
-    g, entries = _leaves(t, TreeError)
+    """The normal form of a tree, after the checks of ``validate``, which
+    raise ``TreeError``.  ``group`` is needed only for an all-unit tree."""
+    g, decorations, images, colors = _checked_leaves(t, group)
     if g is None:
-        g = group
-        if g is None:
-            raise TreeError("cannot normalize an all-unit tree without a group")
-    elif group is not None and group is not g:
-        raise TreeError(f"mixed groups in one tree: {g.label} "
-                        f"vs {group.label}")
-    r = len(entries)
-    els = g.elements()
-    images = [0] * r
-    colors = [None] * r
-    decorations = []
-    for position, (slot, label, color) in enumerate(entries, start=1):
-        if not 1 <= slot <= r or images[slot - 1]:
-            raise TreeError(
-                f"bad slot numbering {sorted(e[0] for e in entries)}")
-        images[slot - 1] = position
-        colors[slot - 1] = color
-        decorations.append(els[label])
+        raise TreeError("cannot normalize an all-unit tree without a group")
     return NormalForm._trusted(tuple(decorations),
                                Permutation._trusted(tuple(images)),
                                tuple(colors))

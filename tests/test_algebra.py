@@ -7,7 +7,8 @@ from gbraids.algebra import (AlgebraError, CrossedAlgebraData,
                              solve_coherence, variable_order)
 from gbraids.groups import make_group
 from gbraids.operad import CapExceeded
-from gbraids.relations import MorphismLetter, MorphismWord
+from gbraids.relations import (MorphismLetter, MorphismWord, RelationError,
+                               get_relation)
 from gbraids.trees import TreeError, parse_tree
 
 C2 = make_group("C2")
@@ -189,6 +190,32 @@ def test_validation_rejects_malformed_data():
         CrossedAlgebraData(C2, 2, values)
     with pytest.raises(AlgebraError):
         builtin_group_example(modulus=3)
+    for modulus in (0, -2):
+        with pytest.raises(AlgebraError):
+            solve_coherence(C2, modulus=modulus)
+    payload = builtin_group_example().to_json()
+    for bad in ([payload], {"group": "C2"},
+                {"group": "C2", "values": payload["values"]},
+                {"group": "C2", "modulus": 2, "values": [1, 2]}):
+        with pytest.raises(AlgebraError):
+            CrossedAlgebraData.from_json(C2, bad)
+
+
+def test_relation_ids_resolve_through_the_table():
+    """Unknown names raise, as in check_all_relations; aliases resolve."""
+    data = builtin_group_example()
+    with pytest.raises(RelationError):
+        coherence_equations(C2, ["nonesuch"])
+    with pytest.raises(RelationError):
+        check_coherence(data, ["pentagon", "nonesuch"])
+    canonical = get_relation("G10")["id"]
+    assert canonical != "G10"
+    assert coherence_equations(C2, ["G10"]) == \
+        coherence_equations(C2, [canonical])
+    report = check_coherence(data, ["G10"])
+    assert [r["relation"] for r in report["relations"]] == [canonical]
+    assert report["relations"][0]["assignments_checked"] == C2.order ** len(
+        get_relation(canonical)["symbols"])
 
 
 def test_trivial_datum_is_always_coherent():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,31 @@ def run(capsys, argv):
 def run_json(capsys, argv):
     code, out = run(capsys, argv)
     return code, json.loads(out)
+
+
+# sha256 of stdout and the exit code of commands whose documents must stay
+# byte for byte as they are
+GOLDEN = [
+    ("check --group C2 --operad --bounds arity=2,order=6,cap=100000", 0,
+     "acbceb85d1392beebad3637a1b6d5044350d8f4b29c46292190e7fb8f1e86ad0"),
+    ("check --group S3 --operad --bounds cap=400", 3,
+     "b1d49036ce45d2560cf29087621e3c2ebe23a810be14755967390913408e9a8d"),
+    ("check --group C2 --mutate braiding", 1,
+     "876136e93eb376b30f60e680bd97e3417e6f8d2510c080dbc3ee86ad7935abb6"),
+    ("check --group S3", 0,
+     "2aea38daca64dd4028a90fbba36a409ef2a4ce00030dffe5b6a79a4d0ef5cff6"),
+    ("coherence --group C2", 0,
+     "61cc2bf6fa5b9e235678b2b1c0abead4798f76db4a1ea600f1eb470aae725035"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", GOLDEN,
+                         ids=[g[0] for g in GOLDEN])
+def test_golden_documents(capsys, monkeypatch, command, code, digest):
+    monkeypatch.delenv("GBRAIDS_JOBS", raising=False)
+    got, out = run(capsys, command.split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_orbits_component(capsys):
@@ -112,6 +138,18 @@ def test_output_is_byte_identical_across_runs(capsys):
     assert first.endswith("\n")
 
 
+def test_bad_jobs_environment_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("GBRAIDS_JOBS", "abc")
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--group", "C2", "--relations", "triangle"])
+    assert err.value.code == 2
+    # an explicit --jobs does not read the environment
+    code, doc = run_json(capsys, ["check", "--group", "C2",
+                                  "--relations", "triangle", "--jobs", "1"])
+    assert code == 0
+    assert doc["config"]["jobs"] == 1
+
+
 def test_common_options_accepted_on_either_side(capsys):
     _, before = run_json(capsys, ["--seed", "9", "orbits", "--group", "C2",
                                   "--strands", "2", "--sample", "1"])
@@ -129,6 +167,14 @@ def test_sampling_is_seed_deterministic(capsys):
     assert first == second
     _, other = run_json(capsys, argv[:-1] + ["4"])
     assert other["results"]["samples"] != first["results"]["samples"]
+
+
+def test_sampling_an_empty_component(capsys):
+    code, doc = run_json(capsys, ["orbits", "--group", "C2",
+                                  "--signature", "1->0", "--sample", "2"])
+    assert code == 0
+    assert doc["results"]["points"] == 0
+    assert doc["results"]["samples"] == []
 
 
 def test_csv_projection(capsys):
@@ -177,6 +223,22 @@ def test_coherence_check_data_file(capsys, tmp_path):
                                   "--data", str(bad)])
     assert code == 1
     assert doc["results"]["coherent"] is False
+
+
+def test_coherence_nonpositive_modulus_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["coherence", "--group", "C2", "--modulus", "0"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("payload", [[1, 2], {"group": "C2"}],
+                         ids=["list", "no-values"])
+def test_coherence_malformed_data_is_usage_error(capsys, tmp_path, payload):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as err:
+        main(["coherence", "--group", "C2", "--data", str(path)])
+    assert err.value.code == 2
 
 
 def test_cap_exit_codes(capsys):

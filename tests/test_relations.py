@@ -14,6 +14,7 @@ from gbraids.relations import (
     get_relation,
     interpret_morphism,
     load_relation_table,
+    tally,
 )
 from gbraids.trees import InputLeaf, LabelEdge, Tensor, format_tree, parse_tree
 
@@ -30,6 +31,13 @@ def test_table_inventory():
                 if "G10" in e.get("also_known_as", ())]
     assert sorted(hexagons) == ["hexagon-left", "hexagon-right"]
     assert get_relation("G10")["id"] in hexagons
+
+
+def test_tally_counts_and_keeps_the_first_failures():
+    outcomes = [None, "a", None, "b", "c", None]
+    assert tally(iter(outcomes), 2) == (6, 3, ["a", "b"])
+    assert tally(iter(outcomes), 0) == (6, 3, [])
+    assert tally(iter([]), 5) == (0, 0, [])
 
 
 @pytest.mark.parametrize("relation_id", RELATION_IDS)

@@ -183,6 +183,22 @@ def test_normalize_and_output_color_walk_deep_trees():
     assert output_color(comb) == el(2)
 
 
+def test_validate_walks_deep_trees():
+    depth = 5000
+    t = InputLeaf(1, el(3))
+    for _ in range(depth):
+        t = LabelEdge(el(1), t)
+    assert validate(t) == 1
+    assert validate(t, S3) == 1
+    with pytest.raises(TreeError):
+        validate(t, make_group("C2"))
+    units = UnitLeaf()
+    for _ in range(depth):
+        units = Tensor(UnitLeaf(), units)
+    assert validate(units) == 0
+    assert validate(units, S3) == 0
+
+
 def test_navigation():
     t = parse_tree("T(L[2](leaf:1:3),T(leaf:3:5,leaf:2:0))", S3)
     assert subtree_at(t, ()) == t
