@@ -14,9 +14,18 @@ Equality of braids is decided by the classical left-greedy (Garside) normal
 form with permutation simples: a word is rewritten as ``Delta^p f1 ... fk``
 where Delta is the half twist, no factor is trivial or Delta, and every
 adjacent pair (fi, fi+1) is left-weighted (every simple letter starting fi+1
-also ends fi).  Negative letters enter through the left complement
-``Delta * s_j``, with the resulting Delta^-1 commuted to the front by the
-flip automorphism tau(x) = w0 x w0.
+also ends fi).  A negative letter is ``s_j^-1 = Delta^-1 (w0 s_j)``, and its
+Delta^-1 is commuted to the front by the flip tau(x) = w0 x w0, which sends
+s_j to s_{n-j}.  One backward pass over the word gives each letter's simple
+with tau applied once per negative letter after it, and p starts at minus
+the number of negative letters, so no factor is ever flipped twice.  The
+simples then enter left to right; each is made left-weighted against the
+factor before it, and the sweep moves leftward only while a pair changes.
+That single right-to-left pass per letter keeps the whole list left-weighted
+(Thurston's algorithm: Epstein et al., *Word Processing in Groups*, 1992,
+ch. 9; El-Rifai & Morton, *Algorithms for positive braids*, 1994), so there
+is no sweep to a fixpoint.  A factor emptied at the end is dropped, and the
+leading Delta factors are counted into p once, at the end.
 """
 from __future__ import annotations
 
@@ -165,50 +174,62 @@ def is_pure(w: BraidWord) -> bool:
 
 
 # -- Garside normal form -------------------------------------------------
+#
+# The kernel holds each simple as a pair [images, inverse] of 0-based lists:
+# images[i] is the image of position i, inverse[v] the position of value v.
 
 
-@lru_cache(maxsize=None)
-def _w0(n: int) -> Permutation:
-    return Permutation(tuple(range(n, 0, -1)))
+def _slide(a, b) -> bool:
+    """Make the pair (a, b) left-weighted in place, preserving the product
+    a b: while some letter starts b but does not end a, move the least such
+    letter s across (a := a s, b := s^-1 b).  Only the descents next to a
+    moved letter change, so the scan resumes one place to its left."""
+    aim, ainv = a
+    bim, binv = b
+    moved = False
+    i, last = 0, len(aim) - 1
+    while i < last:
+        if binv[i] > binv[i + 1] and aim[i] < aim[i + 1]:
+            x, y = aim[i + 1], aim[i]
+            aim[i], aim[i + 1] = x, y
+            ainv[x], ainv[y] = i, i + 1
+            x, y = binv[i + 1], binv[i]
+            binv[i], binv[i + 1] = x, y
+            bim[x], bim[y] = i, i + 1
+            moved = True
+            i = i - 1 if i else 0
+        else:
+            i += 1
+    return moved
 
 
-def _right_descents(p: Permutation) -> set[int]:
-    im = p.images
-    return {j for j in range(1, p.size) if im[j - 1] > im[j]}
-
-
-def _left_descents(p: Permutation) -> set[int]:
-    return _right_descents(p.inverse())
-
-
-def _swap_entries(p: Permutation, j: int) -> Permutation:
-    # p * s_j: swap the one-line entries at positions j, j+1
-    im = list(p.images)
-    im[j - 1], im[j] = im[j], im[j - 1]
-    return Permutation(tuple(im))
-
-
-def _swap_values(p: Permutation, j: int) -> Permutation:
-    # s_j * p: swap the values j, j+1 wherever they occur
-    im = [v + 1 if v == j else v - 1 if v == j + 1 else v for v in p.images]
-    return Permutation(tuple(im))
-
-
-def _tau(p: Permutation) -> Permutation:
-    # conjugation by the half twist: tau(p)(i) = n+1 - p(n+1-i)
-    n = p.size
-    return Permutation(tuple(n + 1 - p.images[n - i] for i in range(1, n + 1)))
-
-
-def _renorm_pair(w: Permutation, z: Permutation):
-    """Make the pair (w, z) left-weighted, preserving the product w z."""
-    changed = False
-    while diff := _left_descents(z) - _right_descents(w):
-        s = min(diff)
-        w = _swap_entries(w, s)
-        z = _swap_values(z, s)
-        changed = True
-    return w, z, changed
+def _garside(n: int, letters) -> tuple[int, list]:
+    """``(power, factors)`` of the normal form, factors as index lists."""
+    simples, flip = [], False
+    for l in reversed(letters):
+        # tau, once per negative letter to the right, sends j to n - j;
+        # s_j^-1 = Delta^-1 (w0 s_j), and (w0 s_j)^-1 = w0 s_{n-j}
+        j = n - abs(l) if flip else abs(l)
+        k = j if l > 0 else n - j
+        base = range(n) if l > 0 else range(n - 1, -1, -1)
+        im, inv = list(base), list(base)
+        im[j - 1], im[j] = im[j], im[j - 1]
+        inv[k - 1], inv[k] = inv[k], inv[k - 1]
+        simples.append([im, inv])
+        flip ^= l < 0
+    trivial = list(range(n))
+    factors: list = []
+    for x in reversed(simples):
+        factors.append(x)
+        for i in range(len(factors) - 2, -1, -1):
+            if not _slide(factors[i], factors[i + 1]):
+                break
+        if factors[-1][0] == trivial:
+            factors.pop()
+    lead, w0 = 0, trivial[::-1]
+    while lead < len(factors) and factors[lead][0] == w0:
+        lead += 1
+    return lead - sum(1 for l in letters if l < 0), factors[lead:]
 
 
 @dataclass(frozen=True)
@@ -222,75 +243,49 @@ class GarsideNormalForm:
 
 
 def garside_normal_form(w: BraidWord) -> GarsideNormalForm:
-    n = w.strands
-    if n <= 1:
-        return GarsideNormalForm(n, 0, ())
-    w0 = _w0(n)
-    power = 0
-    factors: list[Permutation] = []
-    for l in w.letters:
-        if l > 0:
-            factors.append(Permutation.transposition(l, n))
-        else:
-            power -= 1
-            factors = [_tau(f) for f in factors]
-            factors.append(w0 @ Permutation.transposition(-l, n))
-        # bubble the new factor leftward as far as it goes
-        i = len(factors) - 2
-        while i >= 0:
-            a, b, moved = _renorm_pair(factors[i], factors[i + 1])
-            factors[i], factors[i + 1] = a, b
-            i -= 1
-            if not moved:
-                break
-    # full passes to a fixpoint, then strip Delta prefixes and trivial suffixes
-    while True:
-        dirty = False
-        for i in range(len(factors) - 1):
-            a, b, moved = _renorm_pair(factors[i], factors[i + 1])
-            factors[i], factors[i + 1] = a, b
-            dirty = dirty or moved
-        if not dirty:
-            break
-    while factors and factors[0] == w0:
-        factors.pop(0)
-        power += 1
-    while factors and factors[-1].is_identity():
-        factors.pop()
-    return GarsideNormalForm(n, power, tuple(factors))
+    power, factors = _garside(w.strands, w.letters)
+    return GarsideNormalForm(w.strands, power, tuple(
+        Permutation._trusted(tuple(v + 1 for v in im)) for im, _ in factors))
 
 
-def _perm_to_letters(p: Permutation) -> list[int]:
-    """A deterministic reduced word whose underlying permutation is p."""
+def _simple_letters(inverse: list[int]) -> list[int]:
+    """A deterministic reduced word of a simple, read from its inverse
+    list: strip the least left descent until none is left."""
+    inv = inverse[:]
     out = []
-    while not p.is_identity():
-        j = min(_left_descents(p))
-        out.append(j)
-        p = _swap_values(p, j)
+    i, last = 0, len(inv) - 1
+    while i < last:
+        if inv[i] > inv[i + 1]:
+            inv[i], inv[i + 1] = inv[i + 1], inv[i]
+            out.append(i + 1)
+            i = i - 1 if i else 0
+        else:
+            i += 1
     return out
 
 
 @lru_cache(maxsize=None)
 def _delta_letters(n: int) -> tuple[int, ...]:
-    return tuple(_perm_to_letters(_w0(n)))
+    return tuple(_simple_letters(list(range(n - 1, -1, -1))))
 
 
 def normal_form(w: BraidWord) -> BraidWord:
     """Canonical word: same letters for any two equal braids."""
-    nf = garside_normal_form(w)
-    delta = _delta_letters(nf.strands) if nf.strands > 1 else ()
-    letters: list[int] = []
-    if nf.power >= 0:
-        letters += list(delta) * nf.power
+    n = w.strands
+    power, factors = _garside(n, w.letters)
+    delta = _delta_letters(n)
+    if power >= 0:
+        letters = list(delta) * power
     else:
-        letters += [-l for l in reversed(delta)] * (-nf.power)
-    for f in nf.factors:
-        letters += _perm_to_letters(f)
-    return BraidWord(w.strands, tuple(letters))
+        letters = [-l for l in reversed(delta)] * -power
+    for _, inv in factors:
+        letters += _simple_letters(inv)
+    return BraidWord(n, tuple(letters))
 
 
 def braids_equal(u: BraidWord, v: BraidWord) -> bool:
-    return garside_normal_form(u) == garside_normal_form(v)
+    return u.strands == v.strands and \
+        _garside(u.strands, u.letters) == _garside(v.strands, v.letters)
 
 
 # -- cabling -------------------------------------------------------------

@@ -104,6 +104,8 @@ def _parse_bounds(text: str) -> Bounds:
                 raise ValueError(f"bad bounds entry {part!r} "
                                  "(want arity=..,order=..,cap=..)")
             fields[name] = int(value)
+            if fields[name] < 0:
+                raise ValueError(f"bad bounds entry {part!r} (must be >= 0)")
     return Bounds(fields["arity"], fields["order"], fields["cap"])
 
 

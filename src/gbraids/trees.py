@@ -73,13 +73,21 @@ def tree_group(t: GTree) -> Optional[FiniteGroup]:
 
 
 def leaf_count(t: GTree) -> int:
-    if isinstance(t, InputLeaf):
-        return 1
-    if isinstance(t, LabelEdge):
-        return leaf_count(t.child)
-    if isinstance(t, Tensor):
-        return leaf_count(t.left) + leaf_count(t.right)
-    return 0
+    count, stack = 0, []
+    while True:
+        kind = type(t)
+        if kind is Tensor:
+            stack.append(t.right)
+            t = t.left
+            continue
+        if kind is LabelEdge:
+            t = t.child
+            continue
+        if kind is InputLeaf:
+            count += 1
+        if not stack:
+            return count
+        t = stack.pop()
 
 
 def _leaves(t: GTree, mismatch: type[Exception]):
@@ -315,13 +323,23 @@ def compose_normal(outer: NormalForm, j: int, inner: NormalForm) -> NormalForm:
 
 
 def format_tree(t: GTree) -> str:
-    if isinstance(t, InputLeaf):
-        return f"leaf:{t.slot}:{t.color.index}"
-    if isinstance(t, UnitLeaf):
-        return "U"
-    if isinstance(t, LabelEdge):
-        return f"L[{t.label.index}]({format_tree(t.child)})"
-    return f"T({format_tree(t.left)},{format_tree(t.right)})"
+    # the stack holds nodes still to print and the literal text between them
+    out, stack = [], [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, InputLeaf):
+            out.append(f"leaf:{item.slot}:{item.color.index}")
+        elif isinstance(item, UnitLeaf):
+            out.append("U")
+        elif isinstance(item, LabelEdge):
+            out.append(f"L[{item.label.index}](")
+            stack += (")", item.child)
+        else:
+            out.append("T(")
+            stack += (")", item.right, ",", item.left)
+    return "".join(out)
 
 
 class _Parser:

@@ -5,6 +5,7 @@ cross-check: its left-greedy normal form data (infimum and canonical length,
 also for its square) were computed with a separate, independently written
 normal-form routine and must never drift.
 """
+import hashlib
 import random
 
 import pytest
@@ -103,6 +104,98 @@ def test_normal_form_is_canonical_and_idempotent():
         assert braids_equal(w, canon)
         assert normal_form(canon) == canon
         assert underlying_permutation(canon) == underlying_permutation(w)
+
+
+def test_golden_normal_forms():
+    # sha256 of the normal-form letters of 120 seeded words, recorded on the
+    # set-based kernel that the index-list kernel replaced
+    rng = random.Random("golden-normal-forms")
+    lines = []
+    for _ in range(120):
+        n = rng.randint(2, 8)
+        length = rng.randint(0, 200)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                        for _ in range(length))
+        nf = normal_form(BraidWord(n, letters))
+        lines.append(" ".join(map(str, nf.letters)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == \
+        "31c0332dd81baba9c575e64d65791b554b68088d4e8fe1deca5f50eded1a7be5"
+
+
+def _inversions(p):
+    return sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
+
+
+def _times_letter(p, s):
+    # p o t_s: swap the one-line entries at positions s, s+1
+    q = list(p)
+    q[s - 1], q[s] = q[s], q[s - 1]
+    return tuple(q)
+
+
+def _letter_times(s, p):
+    # t_s o p: swap the values s, s+1
+    return tuple(s + 1 if v == s else s if v == s + 1 else v for v in p)
+
+
+def _cut_simples(n, letters):
+    """Cut a positive word into maximal prefixes that stay reduced."""
+    factors, p = [], tuple(range(1, n + 1))
+    for s in letters:
+        q = _times_letter(p, s)
+        if _inversions(q) < _inversions(p):
+            factors.append(p)
+            q = _times_letter(tuple(range(1, n + 1)), s)
+        p = q
+    return factors + [p] if letters else factors
+
+
+def _starting(p):
+    return {s for s in range(1, len(p))
+            if _inversions(_letter_times(s, p)) < _inversions(p)}
+
+
+def _finishing(p):
+    return {s for s in range(1, len(p))
+            if _inversions(_times_letter(p, s)) < _inversions(p)}
+
+
+def _permutation_of(n, letters):
+    p = tuple(range(1, n + 1))
+    for l in letters:
+        p = _times_letter(p, abs(l))
+    return p
+
+
+def test_long_words_reach_a_left_weighted_normal_form():
+    # an oracle written apart from gbraids.braids; only long words make the
+    # one right-to-left pass per letter move many factors at once
+    rng = random.Random("long-normal-forms")
+    for _ in range(12):
+        n = rng.randint(3, 8)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                        for _ in range(rng.randint(300, 600)))
+        got = normal_form(BraidWord(n, letters)).letters
+        delta = tuple(range(n, 0, -1))
+        half = n * (n - 1) // 2
+        neg = next((i for i, l in enumerate(got) if l > 0), len(got))
+        head, rest = got[:neg], got[neg:]
+        assert all(l > 0 for l in rest)
+        assert len(head) % half == 0
+        assert _cut_simples(n, [-l for l in reversed(head)]) == \
+            [delta] * (len(head) // half)
+        factors = _cut_simples(n, rest)
+        if head:
+            body = factors
+        else:
+            body = factors[next((i for i, f in enumerate(factors)
+                                 if f != delta), len(factors)):]
+        assert delta not in body
+        assert tuple(range(1, n + 1)) not in body
+        for a, b in zip(body, body[1:]):
+            assert _starting(b) <= _finishing(a)
+        assert _permutation_of(n, got) == _permutation_of(n, letters)
 
 
 def test_relator_insertion_invariance():

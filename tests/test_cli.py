@@ -254,9 +254,14 @@ def test_cap_exit_codes(capsys):
 
 
 def test_bad_bounds_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["check", "--group", "C2", "--bounds", "nonsense=1"])
-    assert err.value.code == 2
+    for argv, entry in [(["check", "--group", "C2"], "nonsense=1"),
+                        (["check", "--group", "C2", "--operad"], "arity=-2"),
+                        (["check", "--group", "C2", "--relations", "triangle"],
+                         "cap=-1")]:
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--bounds", entry])
+        assert err.value.code == 2
+        assert f"bad bounds entry {entry!r}" in capsys.readouterr().err
 
 
 def test_flatten_and_render():

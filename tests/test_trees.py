@@ -190,6 +190,8 @@ def test_validate_walks_deep_trees():
         t = LabelEdge(el(1), t)
     assert validate(t) == 1
     assert validate(t, S3) == 1
+    assert leaf_count(t) == 1
+    assert format_tree(t) == "L[1](" * depth + "leaf:1:3" + ")" * depth
     with pytest.raises(TreeError):
         validate(t, make_group("C2"))
     units = UnitLeaf()
