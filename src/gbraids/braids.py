@@ -48,7 +48,6 @@ class Permutation:
     def __post_init__(self):
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise BraidError(f"not a permutation: {self.images}")
-        object.__setattr__(self, "_hash", hash(self.images))
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
@@ -56,11 +55,7 @@ class Permutation:
         have already checked that ``images`` is a permutation."""
         p = object.__new__(cls)
         object.__setattr__(p, "images", images)
-        object.__setattr__(p, "_hash", hash(images))
         return p
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def size(self) -> int:
@@ -72,7 +67,12 @@ class Permutation:
 
     @classmethod
     def transposition(cls, j: int, n: int) -> "Permutation":
-        return _transposition(j, n)
+        if not 1 <= j <= n - 1:
+            raise BraidError(
+                f"transposition index {j} out of range for size {n}")
+        im = list(range(1, n + 1))
+        im[j - 1], im[j] = im[j], im[j - 1]
+        return cls(tuple(im))
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
@@ -80,39 +80,20 @@ class Permutation:
     def __matmul__(self, other: "Permutation") -> "Permutation":
         if self.size != other.size:
             raise BraidError("size mismatch in permutation composition")
-        return _compose(self, other)
+        return Permutation._trusted(
+            tuple(self.images[v - 1] for v in other.images))
 
     def inverse(self) -> "Permutation":
-        return _inverse(self)
+        out = [0] * self.size
+        for i, v in enumerate(self.images, start=1):
+            out[v - 1] = i
+        return Permutation._trusted(tuple(out))
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images, start=1))
 
     def __repr__(self) -> str:
         return f"Permutation{self.images}"
-
-
-# instances are immutable, so the common constructions are shared
-@lru_cache(maxsize=None)
-def _transposition(j: int, n: int) -> Permutation:
-    if not 1 <= j <= n - 1:
-        raise BraidError(f"transposition index {j} out of range for size {n}")
-    im = list(range(1, n + 1))
-    im[j - 1], im[j] = im[j], im[j - 1]
-    return Permutation(tuple(im))
-
-
-@lru_cache(maxsize=200_000)
-def _compose(p: Permutation, q: Permutation) -> Permutation:
-    return Permutation(tuple(p.images[v - 1] for v in q.images))
-
-
-@lru_cache(maxsize=50_000)
-def _inverse(p: Permutation) -> Permutation:
-    out = [0] * p.size
-    for i, v in enumerate(p.images, start=1):
-        out[v - 1] = i
-    return Permutation(tuple(out))
 
 
 def all_permutations(n: int):
@@ -162,11 +143,13 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
 
 
 def underlying_permutation(w: BraidWord) -> Permutation:
-    p = Permutation.identity(w.strands)
+    # p o t_j swaps the entries at positions j and j+1, so accumulating left
+    # to right makes later letters act first
+    im = list(range(1, w.strands + 1))
     for l in w.letters:
-        # left-to-right accumulation composes so that later letters act first
-        p = p @ Permutation.transposition(abs(l), w.strands)
-    return p
+        j = abs(l)
+        im[j - 1], im[j] = im[j], im[j - 1]
+    return Permutation._trusted(tuple(im))
 
 
 def is_pure(w: BraidWord) -> bool:

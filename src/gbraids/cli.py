@@ -24,6 +24,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -123,6 +124,12 @@ def _decorated_json(x: DecoratedTuple) -> dict:
 def _run_orbits(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]:
     if args.signature:
         sig = parse_signature(args.signature, group)
+        r = len(sig.inputs)
+        # one candidate per permutation and choice of b_1 .. b_{r-1}
+        if math.factorial(r) * group.order ** max(r - 1, 0) > config.bounds[2]:
+            raise CapExceeded(
+                f"{r}!*{group.order}^{max(r - 1, 0)} tuples exceed the cap "
+                f"{config.bounds[2]}")
         points = component_objects(sig.inputs, sig.output)
         space = {"space": "component", "signature": format_signature(sig)}
     else:

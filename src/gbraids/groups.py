@@ -4,6 +4,9 @@ Conventions used throughout the package:
 
 * elements are dense indices ``0..order-1`` into a multiplication table, with
   the identity always at index 0;
+* elements are the group's singletons, one ``GroupElement`` per index,
+  obtained from the group (``element``, ``elements``, ``identity`` or an
+  operation) and compared and hashed by identity;
 * permutation groups enumerate their elements in lexicographic one-line-
   notation order, so indexing is reproducible across runs and machines;
 * permutations compose by "apply the right factor first":
@@ -86,25 +89,10 @@ class FiniteGroup:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False)  # singletons, compared by identity
 class GroupElement:
     index: int
     group: FiniteGroup
-
-    def __post_init__(self):
-        # elements are per-group singletons, so identity comparison is the
-        # common case and the hash never changes
-        object.__setattr__(self, "_hash", hash((self.index, id(self.group))))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, GroupElement)
-                and self.index == other.index
-                and self.group is other.group)
-
-    def __hash__(self):
-        return self._hash
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return product(self, other)
@@ -154,7 +142,7 @@ def product_of(elements, group: FiniteGroup) -> GroupElement:
         if x.group is not group:
             raise GroupMismatchError("mixed groups in product_of")
         acc = m[acc][x.index]
-    return GroupElement(acc, group)
+    return group._wrappers[acc]
 
 
 # -- validation ----------------------------------------------------------

@@ -65,8 +65,6 @@ class DecoratedTuple:
             entries = entries + self.colors
         if entries:
             _require_group(entries[0].group, entries)
-        object.__setattr__(self, "_hash",
-                           hash((self.b, self.sigma, self.colors)))
 
     @classmethod
     def _trusted(cls, b, sigma=None, colors=None) -> "DecoratedTuple":
@@ -78,11 +76,7 @@ class DecoratedTuple:
         object.__setattr__(x, "b", b)
         object.__setattr__(x, "sigma", sigma)
         object.__setattr__(x, "colors", colors)
-        object.__setattr__(x, "_hash", hash((b, sigma, colors)))
         return x
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def size(self) -> int:
@@ -125,10 +119,12 @@ def color_condition(sigma: Permutation, b: tuple[GroupElement, ...],
     group = colors[0].group
     _require_group(group, b, colors)
     mul, conj = group.mul, group.conj
-    slot = sigma.inverse().images
+    arriving = [None] * len(colors)  # the color arriving at each position
+    for c, p in zip(colors, sigma.images):
+        arriving[p - 1] = c.index
     acc = group.identity_index
-    for p, x in enumerate(b):
-        acc = mul[acc][conj[x.index][colors[slot[p] - 1].index]]
+    for x, g in zip(b, arriving):
+        acc = mul[acc][conj[x.index][g]]
     return group.elements()[acc]
 
 
@@ -166,14 +162,17 @@ def hurwitz_generator(x: DecoratedTuple, letter: int) -> DecoratedTuple:
         else:
             b[j - 1], b[j] = b[j], els[conj[inv[t]][s]]
         return DecoratedTuple._trusted(tuple(b))
+    # the slots p and q arriving at positions j and j+1; t_j o sigma swaps them
+    images = list(x.sigma.images)
+    p, q = images.index(j), images.index(j + 1)
+    images[p], images[q] = j + 1, j
     if letter > 0:
-        # the color arriving at position j comes from slot sigma^-1(j)
-        g = x.colors[x.sigma.images.index(j)].index
+        g = x.colors[p].index
         b[j - 1], b[j] = els[mul[conj[s][g]][t]], b[j - 1]
     else:
-        g = x.colors[x.sigma.images.index(j + 1)].index
+        g = x.colors[q].index
         b[j - 1], b[j] = b[j], els[mul[inv[conj[t][g]]][s]]
-    sigma = Permutation.transposition(j, n) @ x.sigma
+    sigma = Permutation._trusted(tuple(images))
     return DecoratedTuple._trusted(tuple(b), sigma, x.colors)
 
 

@@ -63,12 +63,16 @@ NormalForm = DecoratedTuple
 
 
 def tree_group(t: GTree) -> Optional[FiniteGroup]:
-    if isinstance(t, InputLeaf):
-        return t.color.group
-    if isinstance(t, LabelEdge):
-        return t.label.group
-    if isinstance(t, Tensor):
-        return tree_group(t.left) or tree_group(t.right)
+    """The group of the first leaf or label in preorder (None if all units)."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, InputLeaf):
+            return t.color.group
+        if isinstance(t, LabelEdge):
+            return t.label.group
+        if isinstance(t, Tensor):
+            stack += (t.right, t.left)
     return None
 
 
@@ -189,17 +193,24 @@ def subtree_at(t: GTree, path: tuple[int, ...]) -> GTree:
 
 
 def replace_at(t: GTree, path: tuple[int, ...], sub: GTree) -> GTree:
-    if not path:
-        return sub
-    step, rest = path[0], path[1:]
-    if isinstance(t, Tensor):
-        if step == 0:
-            return Tensor(replace_at(t.left, rest, sub), t.right)
-        if step == 1:
-            return Tensor(t.left, replace_at(t.right, rest, sub))
-    if isinstance(t, LabelEdge) and step == 0:
-        return LabelEdge(t.label, replace_at(t.child, rest, sub))
-    raise TreeError(f"bad path step {step}")
+    ancestors = []  # (node, step) from the root down
+    for step in path:
+        if isinstance(t, Tensor) and step in (0, 1):
+            ancestors.append((t, step))
+            t = t.left if step == 0 else t.right
+        elif isinstance(t, LabelEdge) and step == 0:
+            ancestors.append((t, step))
+            t = t.child
+        else:
+            raise TreeError(f"bad path step {step}")
+    for node, step in reversed(ancestors):
+        if isinstance(node, LabelEdge):
+            sub = LabelEdge(node.label, sub)
+        elif step == 0:
+            sub = Tensor(sub, node.right)
+        else:
+            sub = Tensor(node.left, sub)
+    return sub
 
 
 def leaf_offset(t: GTree, path: tuple[int, ...]) -> int:
@@ -257,6 +268,32 @@ def identity_normal_form(color: GroupElement) -> NormalForm:
     return NormalForm((color.group.identity,), Permutation((1,)), (color,))
 
 
+def _map_leaves(t: GTree, leaf) -> GTree:
+    """``t`` rebuilt with each input leaf x replaced by ``leaf(x)``, walked
+    with an explicit stack; ``done`` holds the finished subtrees."""
+    done: list = []
+    stack = [(t, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if isinstance(node, Tensor):
+            if children_done:
+                right = done.pop()
+                done.append(Tensor(done.pop(), right))
+            else:
+                stack += ((node, True), (node.right, False),
+                          (node.left, False))
+        elif isinstance(node, LabelEdge):
+            if children_done:
+                done.append(LabelEdge(node.label, done.pop()))
+            else:
+                stack += ((node, True), (node.child, False))
+        elif isinstance(node, InputLeaf):
+            done.append(leaf(node))
+        else:
+            done.append(node)
+    return done[0]
+
+
 def graft(outer: GTree, j: int, inner: GTree) -> GTree:
     """Substitute ``inner`` for input leaf j of ``outer``, renumbering slots:
     inner slots become j..j+s-1, later outer slots shift up by s-1."""
@@ -265,32 +302,18 @@ def graft(outer: GTree, j: int, inner: GTree) -> GTree:
     if not 1 <= j <= r:
         raise TreeError(f"slot {j} out of range")
 
-    def shift(node, offset):
-        if isinstance(node, InputLeaf):
-            return InputLeaf(node.slot + offset, node.color)
-        if isinstance(node, LabelEdge):
-            return LabelEdge(node.label, shift(node.child, offset))
-        if isinstance(node, Tensor):
-            return Tensor(shift(node.left, offset), shift(node.right, offset))
-        return node
+    def subst(leaf):
+        if leaf.slot == j:
+            if output_color(inner, leaf.color.group) != leaf.color:
+                raise TreeError(
+                    "output color of the grafted tree does not match")
+            return _map_leaves(
+                inner, lambda x: InputLeaf(x.slot + j - 1, x.color))
+        if leaf.slot > j:
+            return InputLeaf(leaf.slot + s - 1, leaf.color)
+        return leaf
 
-    def subst(node):
-        if isinstance(node, InputLeaf):
-            if node.slot == j:
-                if output_color(inner, node.color.group) != node.color:
-                    raise TreeError(
-                        "output color of the grafted tree does not match")
-                return shift(inner, j - 1)
-            if node.slot > j:
-                return InputLeaf(node.slot + s - 1, node.color)
-            return node
-        if isinstance(node, LabelEdge):
-            return LabelEdge(node.label, subst(node.child))
-        if isinstance(node, Tensor):
-            return Tensor(subst(node.left), subst(node.right))
-        return node
-
-    return subst(outer)
+    return _map_leaves(outer, subst)
 
 
 def compose_normal(outer: NormalForm, j: int, inner: NormalForm) -> NormalForm:
@@ -387,32 +410,44 @@ class _Parser:
             self.error("expected an integer")
 
     def tree(self) -> GTree:
-        self.skip_ws()
-        if self.text.startswith("T(", self.pos):
-            self.pos += 2
-            left = self.tree()
-            self.expect(",")
-            right = self.tree()
-            self.expect(")")
-            return Tensor(left, right)
-        if self.text.startswith("L[", self.pos):
-            self.pos += 2
-            label = self.symbol("]")
-            self.expect("]")
-            self.expect("(")
-            child = self.tree()
-            self.expect(")")
-            return LabelEdge(label, child)
-        if self.text.startswith("leaf:", self.pos):
-            self.pos += 5
-            slot = self.integer(":")
-            self.expect(":")
-            color = self.symbol("(),]")
-            return InputLeaf(slot, color)
-        if self.text.startswith("U", self.pos):
-            self.pos += 1
-            return UnitLeaf()
-        self.error("expected a tree")
+        """Recursive descent on an explicit stack of open nodes: a label
+        edge waiting for its child, or a tensor waiting for its left child
+        (None) or, holding the left one, for its right child."""
+        stack: list = []
+        while True:
+            self.skip_ws()
+            if self.text.startswith("T(", self.pos):
+                self.pos += 2
+                stack.append((Tensor, None))
+                continue
+            if self.text.startswith("L[", self.pos):
+                self.pos += 2
+                label = self.symbol("]")
+                self.expect("]")
+                self.expect("(")
+                stack.append((LabelEdge, label))
+                continue
+            if self.text.startswith("leaf:", self.pos):
+                self.pos += 5
+                slot = self.integer(":")
+                self.expect(":")
+                node = InputLeaf(slot, self.symbol("(),]"))
+            elif self.text.startswith("U", self.pos):
+                self.pos += 1
+                node = UnitLeaf()
+            else:
+                self.error("expected a tree")
+            while stack:
+                kind, held = stack.pop()
+                if kind is Tensor and held is None:
+                    self.expect(",")
+                    stack.append((Tensor, node))
+                    break
+                self.expect(")")
+                # Tensor(left, node) or LabelEdge(label, node)
+                node = kind(held, node)
+            else:
+                return node
 
 
 def parse_tree(text: str, group: FiniteGroup,

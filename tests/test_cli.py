@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from gbraids.algebra import builtin_group_example
 from gbraids.cli import main, render, _flatten
@@ -246,6 +250,15 @@ def test_cap_exit_codes(capsys):
                                   "--bounds", "cap=1000"])
     assert code == 3
     assert "error" in doc["results"]
+    # a component is capped on its r!|G|^(r-1) candidates, before any work
+    code, doc = run_json(capsys, ["orbits", "--group", "S3", "--signature",
+                                  "1,1,1,1->0", "--bounds", "cap=10"])
+    assert code == 3
+    assert doc["results"]["error"] == "4!*6^3 tuples exceed the cap 10"
+    code, doc = run_json(capsys, ["orbits", "--group", "S3", "--strands", "4",
+                                  "--bounds", "cap=10"])
+    assert code == 3
+    assert doc["results"]["error"] == "6^4 tuples exceed the cap 10"
     code, doc = run_json(capsys, ["check", "--group", "S3", "--operad",
                                   "--bounds", "cap=400"])
     assert code == 3
@@ -271,3 +284,53 @@ def test_flatten_and_render():
     text = render(doc, "csv")
     assert text.splitlines() == ["key,value", "a,2", "b[0],1", "b[1].x,"]
     assert render(doc, "json") == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def cli_argv(draw):
+    """argv from a small grammar: every subcommand, small groups and one bad
+    spec, the subcommand's options with good and bad values, and always a
+    cap of at most 50."""
+    command = draw(st.sampled_from(("orbits", "check", "grothendieck",
+                                    "coherence")))
+    argv = [command, "--group",
+            draw(st.sampled_from(("C1", "C2", "C3", "S3", "D4", "Q8")))]
+    index = st.integers(-1, 8).map(str)
+    if command == "orbits":
+        if draw(st.booleans()):
+            argv += ["--strands", str(draw(st.integers(-1, 4)))]
+        else:
+            inputs = draw(st.lists(index, max_size=4))
+            argv.append(f"--signature={','.join(inputs)}->{draw(index)}")
+        if draw(st.booleans()):
+            argv += ["--sample", str(draw(st.integers(-1, 3)))]
+    elif command == "check":
+        if draw(st.booleans()):
+            argv += ["--relations", ",".join(draw(st.lists(
+                st.sampled_from(("triangle", "hexagon-left", "G9", "none")),
+                min_size=1, max_size=2)))]
+        if draw(st.booleans()):
+            argv += ["--mutate", "braiding"]
+        if draw(st.booleans()):
+            argv.append("--operad")
+    elif command == "grothendieck":
+        argv += ["--strands", str(draw(st.integers(-1, 3)))]
+    else:
+        argv += ["--modulus", str(draw(st.integers(-1, 3)))]
+    bounds = [f"{name}={draw(st.integers(0, 4))}"
+              for name in ("arity", "order") if draw(st.booleans())]
+    bounds.append(f"cap={draw(st.integers(0, 50))}")
+    return argv + ["--bounds", ",".join(bounds), "--jobs", "1"]
+
+
+@given(cli_argv())
+@settings(max_examples=60, deadline=None)
+def test_cli_fuzz_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()

@@ -1,8 +1,10 @@
 """Group arithmetic against independently built oracles."""
 import itertools
+import random
 
 import pytest
 
+from gbraids.braids import all_permutations
 from gbraids.groups import (
     FiniteGroup,
     GroupError,
@@ -13,6 +15,8 @@ from gbraids.groups import (
     product_of,
     read_group_table,
 )
+from gbraids.hurwitz import color_condition, parse_signature, parse_tuple
+from gbraids.trees import output_color, random_tree
 
 # Independent S3 oracle: compose one-line permutations directly, never via the
 # package's table machinery.  Lexicographic indexing of perms of {0,1,2}:
@@ -157,3 +161,34 @@ def test_dihedral_small_cases():
     assert d2.is_abelian()
     # D3 is S3 in disguise: same multiplication table after lex indexing
     assert d3.mul == make_group("S3").mul
+
+
+@pytest.mark.parametrize("spec", ["S3", "C2xC2"])
+def test_every_producer_returns_the_groups_singleton(spec):
+    g = make_group(spec)
+
+    def canonical(x):
+        return x is g.element(x.index)
+
+    assert all(x is g.element(i) for i, x in enumerate(g.elements()))
+    assert g.identity is g.element(0)
+    assert product_of([], g) is g.element(0)
+    for a in g:
+        assert canonical(~a) and canonical(a.inverse())
+        for b in g:
+            assert canonical(a * b)
+            assert canonical(conjugate(a, b))
+            assert canonical(product_of([a, b, a], g))
+    text = ",".join(str(i) for i in range(g.order))
+    assert all(canonical(x) for x in parse_tuple(text, g))
+    sig = parse_signature(f"{text}->1", g)
+    assert all(canonical(x) for x in sig.inputs)
+    assert sig.output is g.element(1)
+    rng = random.Random(7)
+    for r in range(4):
+        for _ in range(10):
+            assert canonical(output_color(random_tree(g, r, rng), g))
+    for sigma in all_permutations(3):
+        b = tuple(g.element(rng.randrange(g.order)) for _ in range(3))
+        colors = tuple(g.element(rng.randrange(g.order)) for _ in range(3))
+        assert canonical(color_condition(sigma, b, colors))

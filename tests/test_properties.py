@@ -12,7 +12,8 @@ from gbraids.braids import (BraidWord, Permutation, all_permutations,
                             normal_form, underlying_permutation)
 from gbraids.groups import make_group
 from gbraids.hurwitz import (DecoratedTuple, boundary_colors, braid_act,
-                             color_condition)
+                             color_condition, component_objects,
+                             hurwitz_generator)
 from gbraids.trees import compose_normal, denormalize, normalize, output_color, random_tree
 
 GROUP_SPECS = ("C2", "C3", "C4", "S3", "D4")
@@ -146,6 +147,52 @@ def test_splice_associativity(x, data):
     nested = compose_normal(x, j, compose_normal(y, k, z))
     flat = compose_normal(compose_normal(x, j, y), j + k - 1, z)
     assert nested == flat
+
+
+def _same_as_checked_build(y, component):
+    """y equals, and hashes like, its rebuild through the checked
+    constructors, and is found in its component by hash."""
+    z = DecoratedTuple(y.b, Permutation(y.sigma.images), y.colors)
+    assert y == z and z == y
+    assert hash(y) == hash(z)
+    assert y in component
+
+
+@given(st.sampled_from(("S3", "D4")), st.integers(1, 4), st.data())
+@settings(max_examples=30, deadline=None)  # a D4 component at r=4 takes 0.2 s
+def test_checked_and_trusted_builds_are_the_same_value(spec, r, data):
+    group = make_group(spec)
+    els = group.elements()
+
+    def point(r):
+        return DecoratedTuple(
+            tuple(data.draw(st.sampled_from(els)) for _ in range(r)),
+            data.draw(st.sampled_from(tuple(all_permutations(r)))),
+            tuple(data.draw(st.sampled_from(els)) for _ in range(r)))
+
+    def component(y):
+        return set(component_objects(
+            y.colors, color_condition(y.sigma, y.b, y.colors)))
+
+    x = point(r)
+    points = component(x)
+    for j in range(1, r):
+        for letter in (j, -j):
+            _same_as_checked_build(hurwitz_generator(x, letter), points)
+    nf = normalize(random_tree(group, r, data.draw(st.randoms())))
+    _same_as_checked_build(nf, component(nf))
+    # an inner point whose output is the outer color at slot j, so that the
+    # composite has at most 4 inputs
+    y = point(data.draw(st.integers(1, 5 - r)))
+    j = data.draw(st.integers(1, r))
+    x = DecoratedTuple(x.b, x.sigma, tuple(
+        color_condition(y.sigma, y.b, y.colors) if i == j - 1 else c
+        for i, c in enumerate(x.colors)))
+    composite = compose_normal(x, j, y)
+    _same_as_checked_build(composite, component(composite))
+    images = tuple(data.draw(st.permutations(range(1, r + 1))))
+    assert Permutation(images) == Permutation._trusted(images)
+    assert hash(Permutation(images)) == hash(Permutation._trusted(images))
 
 
 @given(braid_words(min_strands=1, max_strands=3),

@@ -25,6 +25,7 @@ from gbraids.trees import (
     random_tree,
     replace_at,
     subtree_at,
+    tree_group,
     validate,
 )
 
@@ -191,7 +192,14 @@ def test_validate_walks_deep_trees():
     assert validate(t) == 1
     assert validate(t, S3) == 1
     assert leaf_count(t) == 1
-    assert format_tree(t) == "L[1](" * depth + "leaf:1:3" + ")" * depth
+    text = "L[1](" * depth + "leaf:1:3" + ")" * depth
+    assert format_tree(t) == text
+    # deep trees are compared through their text: == recurses
+    assert format_tree(parse_tree(text, S3)) == text
+    leaf = InputLeaf(1, el(3))
+    assert format_tree(graft(t, 1, leaf)) == text
+    assert format_tree(replace_at(t, (0,) * depth, InputLeaf(1, el(2)))) \
+        == text.replace("leaf:1:3", "leaf:1:2")
     with pytest.raises(TreeError):
         validate(t, make_group("C2"))
     units = UnitLeaf()
@@ -199,6 +207,11 @@ def test_validate_walks_deep_trees():
         units = Tensor(UnitLeaf(), units)
     assert validate(units) == 0
     assert validate(units, S3) == 0
+    assert tree_group(units) is None
+    spine = leaf
+    for _ in range(3000):
+        spine = Tensor(UnitLeaf(), spine)
+    assert tree_group(spine) is S3
 
 
 def test_navigation():
