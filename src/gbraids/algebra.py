@@ -106,7 +106,7 @@ class CrossedAlgebraData:
             raise AlgebraError("modulus must be positive")
         order = variable_order(self.group)
         missing = [v for v in order if v not in self.values]
-        extra = [v for v in self.values if v not in set(order)]
+        extra = self.values.keys() - set(order)
         if missing or extra:
             raise AlgebraError(
                 f"variable table mismatch: {len(missing)} missing, "

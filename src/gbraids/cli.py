@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -36,9 +35,9 @@ from typing import Optional
 from .algebra import CrossedAlgebraData, check_coherence, solve_coherence
 from .groupoid import compare_grothendieck_to_direct
 from .groups import FiniteGroup, GroupError, make_group
-from .hurwitz import (DecoratedTuple, component_objects, format_signature,
-                      format_tuple, orbit, parse_signature, pi0_component,
-                      pi0_hurwitz_space, HurwitzError)
+from .hurwitz import (DecoratedTuple, bare_space, component_objects,
+                      format_signature, format_tuple, orbit, parse_signature,
+                      partition, HurwitzError)
 from .operad import Bounds, CapExceeded, check_operad_axioms
 from .relations import RelationError, check_all_relations, relation_entries
 
@@ -137,8 +136,7 @@ def _run_orbits(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]
         if group.order ** r > config.bounds[2]:
             raise CapExceeded(
                 f"{group.order}^{r} tuples exceed the cap {config.bounds[2]}")
-        points = [DecoratedTuple(b) for b in
-                  itertools.product(group.elements(), repeat=r)]
+        points = bare_space(group, r)
         space = {"space": "bare", "strands": r}
     results = dict(space)
     results["points"] = len(points)
@@ -150,10 +148,7 @@ def _run_orbits(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]
                                "orbit_size": len(orbit(start))}
                               for start in starts]
     else:
-        if args.signature:
-            classes = pi0_component(sig.inputs, sig.output)
-        else:
-            classes = pi0_hurwitz_space(group, args.strands)
+        classes = partition(points)
         results["orbit_count"] = len(classes)
         results["orbits"] = [{"size": len(c),
                               "representative": _decorated_json(c[0])}
@@ -319,6 +314,9 @@ def main(argv=None) -> int:
         parser.error("orbits needs --strands or --signature")
     if args.command == "orbits" and args.signature and args.strands is not None:
         parser.error("--strands and --signature are mutually exclusive")
+    for name in ("strands", "sample"):
+        if getattr(args, name, None) is not None and getattr(args, name) < 0:
+            parser.error(f"--{name} must be >= 0")
     config = RunConfig(
         command=args.command,
         group=args.group,

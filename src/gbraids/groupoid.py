@@ -1,11 +1,14 @@
 """Fibered groupoids over a braid-action base, and their flattening.
 
 A *presentation* here is a groupoid given by computable data: a finite object
-set, a finite generating set of arrows, and total functions for identity,
-inverse, and composition of composable arrows.  Arrow labels are required to
-be canonical (equal arrows carry equal labels), which makes equality of
-morphisms decidable; for braid-word labels this is supplied by the Garside
-normal form.
+set, a finite generating set of arrows, and total functions for identity and
+inverse (the fields ``identity`` and ``inverse``) and for composition of
+composable arrows (``compose``, which checks that the arrows meet before it
+calls ``compose_fn``).  Each presentation groups its generators by source
+once, when it is built (``by_source``, in generator order); the flattening,
+the axiom check and the comparison read that index.  Arrow labels are required to be canonical (equal arrows carry equal labels),
+which makes equality of morphisms decidable; for braid-word labels this is
+supplied by the Garside normal form.
 
 ``grothendieck`` flattens a base groupoid acting on a family of fiber
 groupoids into a single groupoid: objects are pairs ``(y, x)`` with x in the
@@ -32,7 +35,7 @@ from typing import Callable
 
 from .braids import BraidWord, Permutation, all_permutations, normal_form, underlying_permutation
 from .groups import FiniteGroup, GroupElement
-from .hurwitz import DecoratedTuple, braid_act, conjugate_act
+from .hurwitz import DecoratedTuple, bare_space, braid_act, conjugate_act
 
 
 class GroupoidError(ValueError):
@@ -51,20 +54,21 @@ class FiniteGroupoidPresentation:
     objects: tuple
     generators: tuple[Arrow, ...]
     compose_fn: Callable[[Arrow, Arrow], Arrow] = field(repr=False)
-    identity_fn: Callable[[object], Arrow] = field(repr=False)
-    inverse_fn: Callable[[Arrow], Arrow] = field(repr=False)
+    identity: Callable[[object], Arrow] = field(repr=False)
+    inverse: Callable[[Arrow], Arrow] = field(repr=False)
+    # source object -> the generators leaving it, in generator order
+    by_source: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.by_source = {}
+        for a in self.generators:
+            self.by_source.setdefault(a.source, []).append(a)
 
     def compose(self, second: Arrow, first: Arrow) -> Arrow:
         """``second o first`` (first acts first)."""
         if first.target != second.source:
             raise GroupoidError("arrows are not composable")
         return self.compose_fn(second, first)
-
-    def identity(self, obj) -> Arrow:
-        return self.identity_fn(obj)
-
-    def inverse(self, arrow: Arrow) -> Arrow:
-        return self.inverse_fn(arrow)
 
 
 def check_groupoid_axioms(pres: FiniteGroupoidPresentation,
@@ -73,12 +77,13 @@ def check_groupoid_axioms(pres: FiniteGroupoidPresentation,
     generating arrows; associativity over at most ``triple_cap`` composable
     triples, taken in deterministic order."""
     failures = []
+    objects = set(pres.objects)
 
     def fail(axiom, detail):
         failures.append({"axiom": axiom, "detail": detail})
 
     for a in pres.generators:
-        if a.source not in pres.objects or a.target not in pres.objects:
+        if a.source not in objects or a.target not in objects:
             fail("endpoints", repr(a))
         li = pres.compose(pres.identity(a.target), a)
         ri = pres.compose(a, pres.identity(a.source))
@@ -94,17 +99,14 @@ def check_groupoid_axioms(pres: FiniteGroupoidPresentation,
         if pres.compose(a, inv) != pres.identity(a.target):
             fail("right-inverse", repr(a))
 
-    by_source = {}
-    for a in pres.generators:
-        by_source.setdefault(a.source, []).append(a)
     pairs = [(b, a) for a in pres.generators
-             for b in by_source.get(a.target, ())]
+             for b in pres.by_source.get(a.target, ())]
     for b, a in pairs:
         c = pres.compose(b, a)
         if (c.source, c.target) != (a.source, b.target):
             fail("composite-endpoints", f"{a!r}; {b!r}")
     triples = ((c, b, a) for b, a in pairs
-               for c in by_source.get(b.target, ()))
+               for c in pres.by_source.get(b.target, ()))
     checked_triples = 0
     for c, b, a in itertools.islice(triples, triple_cap):
         if pres.compose(c, pres.compose(b, a)) != \
@@ -149,22 +151,20 @@ def grothendieck(system: FiberedSystem) -> FiniteGroupoidPresentation:
 
     def inverse(arrow: Arrow) -> Arrow:
         g, f = arrow.label
-        y1 = arrow.target[0]
-        ginv = base.inverse(g)
         finv = fibers[arrow.source[0]].inverse(f)
         return Arrow(arrow.target, arrow.source,
-                     (ginv, system.act_arrow(g, finv)))
+                     (base.inverse(g), system.act_arrow(g, finv)))
 
     generators = []
     for y in base.objects:
         fib = fibers[y]
         for x in fib.objects:
-            for g in (a for a in base.generators if a.source == y):
+            for g in base.by_source.get(y, ()):
                 # horizontal lift: fiber part is an identity
                 generators.append(Arrow(
                     (y, x), (g.target, system.act_object(g, x)),
                     (g, fib.identity(x))))
-            for f in (a for a in fib.generators if a.source == x):
+            for f in fib.by_source.get(x, ()):
                 generators.append(Arrow(
                     (y, x), (y, f.target), (base.identity(y), f)))
     return FiniteGroupoidPresentation(objects, tuple(generators),
@@ -190,10 +190,10 @@ def permutation_base(r: int) -> FiniteGroupoidPresentation:
         return Arrow(arrow.target, arrow.source,
                      normal_form(arrow.label.inverse()))
 
-    generators = tuple(
-        Arrow(sigma, Permutation.transposition(j, r) @ sigma,
-              normal_form(BraidWord(r, (j,))))
-        for sigma in objects for j in range(1, r))
+    moves = [(Permutation.transposition(j, r), normal_form(BraidWord(r, (j,))))
+             for j in range(1, r)]
+    generators = tuple(Arrow(sigma, t @ sigma, word)
+                       for sigma in objects for t, word in moves)
     return FiniteGroupoidPresentation(objects, generators,
                                       compose, identity, inverse)
 
@@ -201,8 +201,7 @@ def permutation_base(r: int) -> FiniteGroupoidPresentation:
 def conjugation_fiber(group: FiniteGroup, r: int) -> FiniteGroupoidPresentation:
     """Tuples in ``G^r`` with arrows labeled by group elements acting by
     simultaneous conjugation."""
-    objects = tuple(DecoratedTuple(b) for b in
-                    itertools.product(group.elements(), repeat=r))
+    objects = bare_space(group, r)
 
     def compose(second: Arrow, first: Arrow) -> Arrow:
         return Arrow(first.source, second.target,
@@ -237,9 +236,8 @@ def hurwitz_fibered_system(group: FiniteGroup, r: int) -> FiberedSystem:
 def hurwitz_direct_presentation(group: FiniteGroup, r: int) -> FiniteGroupoidPresentation:
     """The flattened groupoid written down directly: arrows are labeled by a
     canonical braid word and a group element, composed componentwise."""
-    base = permutation_base(r)
-    fiber = conjugation_fiber(group, r)
-    objects = tuple((y, x) for y in base.objects for x in fiber.objects)
+    space = bare_space(group, r)
+    objects = tuple((y, x) for y in all_permutations(r) for x in space)
 
     def target_of(source, word: BraidWord, h: GroupElement):
         y, x = source
@@ -260,16 +258,16 @@ def hurwitz_direct_presentation(group: FiniteGroup, r: int) -> FiniteGroupoidPre
         return Arrow(arrow.target, arrow.source,
                      (normal_form(c.inverse()), h.inverse()))
 
+    words = [normal_form(BraidWord(r, (j,))) for j in range(1, r)]
+    unit = BraidWord.identity(r)
     generators = []
     for obj in objects:
-        for j in range(1, r):
-            word = normal_form(BraidWord(r, (j,)))
+        for word in words:
             generators.append(Arrow(
                 obj, target_of(obj, word, group.identity),
                 (word, group.identity)))
         for h in group:
-            word = BraidWord.identity(r)
-            generators.append(Arrow(obj, target_of(obj, word, h), (word, h)))
+            generators.append(Arrow(obj, target_of(obj, unit, h), (unit, h)))
     return FiniteGroupoidPresentation(objects, tuple(generators),
                                       compose, identity, inverse)
 
@@ -289,35 +287,31 @@ def compare_presentations(flat: FiniteGroupoidPresentation,
     failures = []
     if set(flat.objects) != set(direct.objects):
         failures.append({"stage": "objects", "detail": "object sets differ"})
-    direct_index = {(a.source, a.target, a.label): a for a in direct.generators}
-    matched = {}
-    for a in flat.generators:
-        key = (a.source, a.target, flatten_label(a))
-        hit = direct_index.get(key)
-        if hit is None:
-            failures.append({"stage": "generators", "detail": repr(key)})
-        else:
-            matched[a] = hit
-    by_source = {}
-    for a in flat.generators:
-        by_source.setdefault(a.source, []).append(a)
+    # source -> (flat generator, its direct twin) for every matched generator
+    twins = {}
+    for source, arrows in flat.by_source.items():
+        index = {(d.target, d.label): d
+                 for d in direct.by_source.get(source, ())}
+        twins[source] = matched = []
+        for a in arrows:
+            key = (a.target, flatten_label(a))
+            hit = index.get(key)
+            if hit is None:
+                failures.append({"stage": "generators",
+                                 "detail": repr((source, *key))})
+            else:
+                matched.append((a, hit))
     compositions = 0
-    for a in flat.generators:
-        if a not in matched:
-            continue
-        for b in by_source.get(a.target, ()):
-            if b not in matched:
-                continue
-            left = flat.compose(b, a)
-            right = direct.compose(matched[b], matched[a])
-            compositions += 1
-            if (flatten_label(left) != right.label
-                    or (left.source, left.target) !=
-                    (right.source, right.target)):
-                failures.append({
-                    "stage": "composition",
-                    "detail": f"{flatten_label(left)!r} != {right.label!r}",
-                })
+    for matched in twins.values():
+        for a, da in matched:
+            for b, db in twins.get(a.target, ()):
+                left = flat.compose(b, a)
+                right = direct.compose(db, da)
+                compositions += 1
+                got = (left.source, left.target, flatten_label(left))
+                if got != (right.source, right.target, right.label):
+                    failures.append({"stage": "composition", "detail":
+                                     f"{got[2]!r} != {right.label!r}"})
     return {
         "objects": len(flat.objects),
         "generators": len(flat.generators),

@@ -198,6 +198,12 @@ def conjugate_act(h: GroupElement, x: DecoratedTuple) -> DecoratedTuple:
 # -- components and orbits -----------------------------------------------
 
 
+def bare_space(group: FiniteGroup, r: int) -> tuple[DecoratedTuple, ...]:
+    """The points of ``G^r``, in lexicographic order of element indices."""
+    return tuple(DecoratedTuple._trusted(b)
+                 for b in itertools.product(group.elements(), repeat=r))
+
+
 def component_objects(colors: tuple[GroupElement, ...],
                       output: GroupElement) -> list[DecoratedTuple]:
     """All colored tuples with the given input colors and boundary output,
@@ -258,7 +264,8 @@ def orbit(x: DecoratedTuple) -> tuple[DecoratedTuple, ...]:
     return tuple(sorted(seen))
 
 
-def _partition(points) -> list[tuple[DecoratedTuple, ...]]:
+def partition(points) -> list[tuple[DecoratedTuple, ...]]:
+    """Orbits of a braid-stable set of points, ordered by representative."""
     remaining = set(points)
     orbits = []
     while remaining:
@@ -274,13 +281,12 @@ def pi0_component(colors: tuple[GroupElement, ...],
                   output: GroupElement) -> list[tuple[DecoratedTuple, ...]]:
     """Orbit decomposition of one boundary component, deterministically
     ordered by canonical representatives."""
-    return _partition(component_objects(colors, output))
+    return partition(component_objects(colors, output))
 
 
 def pi0_hurwitz_space(group: FiniteGroup, r: int) -> list[tuple[DecoratedTuple, ...]]:
     """Orbit decomposition of the bare space ``G^r``."""
-    return _partition(DecoratedTuple(b)
-                      for b in itertools.product(group.elements(), repeat=r))
+    return partition(bare_space(group, r))
 
 
 # -- parsing -------------------------------------------------------------

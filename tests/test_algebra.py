@@ -188,6 +188,10 @@ def test_validation_rejects_malformed_data():
     values.pop(("c", (0, 0)))
     with pytest.raises(AlgebraError):
         CrossedAlgebraData(C2, 2, values)
+    values[("c", (0, 0))] = 0
+    values[("c", (0, 2))] = 0  # complete, with one key no variable has
+    with pytest.raises(AlgebraError, match="0 missing, 1 unexpected"):
+        CrossedAlgebraData(C2, 2, values)
     with pytest.raises(AlgebraError):
         builtin_group_example(modulus=3)
     for modulus in (0, -2):

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -84,6 +86,16 @@ def test_orbits_usage_errors(capsys):
     with pytest.raises(SystemExit) as err:
         main(["orbits", "--group", "nonsense", "--strands", "2"])
     assert err.value.code == 2
+    capsys.readouterr()
+    for argv, option in [
+            (["orbits", "--group", "C2", "--strands", "-1"], "--strands"),
+            (["grothendieck", "--group", "C2", "--strands", "-1"], "--strands"),
+            (["orbits", "--group", "S3", "--strands", "2", "--sample", "-1"],
+             "--sample")]:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert f"{option} must be >= 0" in capsys.readouterr().err
 
 
 def test_check_clean_group_passes(capsys):
@@ -286,11 +298,25 @@ def test_flatten_and_render():
     assert render(doc, "json") == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+@pytest.fixture(scope="module")
+def data_paths(tmp_path_factory):
+    """``coherence --data`` paths: a missing file, malformed JSON, a JSON
+    list and a valid C2 datum."""
+    root = tmp_path_factory.mktemp("data")
+    files = {"malformed.json": "{\"values\": ",
+             "list.json": "[1, 2]",
+             "valid.json": json.dumps(builtin_group_example().to_json())}
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return [str(root / name) for name in ("missing.json", *files)]
+
+
 @st.composite
-def cli_argv(draw):
+def cli_argv(draw, data_paths):
     """argv from a small grammar: every subcommand, small groups and one bad
-    spec, the subcommand's options with good and bad values, and always a
-    cap of at most 50."""
+    spec, the subcommand's options with good and bad values, ``--data``
+    files, and always a cap of at most 50.  ``--jobs 1`` is drawn or left
+    to ``GBRAIDS_JOBS``, which the test draws at most 1."""
     command = draw(st.sampled_from(("orbits", "check", "grothendieck",
                                     "coherence")))
     argv = [command, "--group",
@@ -315,19 +341,24 @@ def cli_argv(draw):
             argv.append("--operad")
     elif command == "grothendieck":
         argv += ["--strands", str(draw(st.integers(-1, 3)))]
+    elif draw(st.booleans()):
+        argv += ["--data", draw(st.sampled_from(data_paths))]
     else:
         argv += ["--modulus", str(draw(st.integers(-1, 3)))]
     bounds = [f"{name}={draw(st.integers(0, 4))}"
               for name in ("arity", "order") if draw(st.booleans())]
     bounds.append(f"cap={draw(st.integers(0, 50))}")
-    return argv + ["--bounds", ",".join(bounds), "--jobs", "1"]
+    argv += ["--bounds", ",".join(bounds)]
+    return argv + ["--jobs", "1"] if draw(st.booleans()) else argv
 
 
-@given(cli_argv())
+@given(data=st.data(), jobs=st.sampled_from(("1", "0", "x", "")))
 @settings(max_examples=60, deadline=None)
-def test_cli_fuzz_ends_in_an_exit_code(argv):
+def test_cli_fuzz_ends_in_an_exit_code(data_paths, data, jobs):
+    argv = data.draw(cli_argv(data_paths))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"GBRAIDS_JOBS": jobs}):
         try:
             code = main(argv)
         except SystemExit as exc:

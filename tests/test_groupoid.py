@@ -1,6 +1,7 @@
 """Flattening a braid-action fibered system vs the componentwise groupoid."""
 import pytest
 
+import gbraids.groupoid
 from gbraids.braids import BraidWord
 from gbraids.groupoid import (
     Arrow,
@@ -89,7 +90,7 @@ def test_swapped_fiber_multiplication_is_detected():
 
     broken = FiniteGroupoidPresentation(
         direct.objects, direct.generators, bad_compose,
-        direct.identity_fn, direct.inverse_fn)
+        direct.identity, direct.inverse)
     report = compare_presentations(flat, broken)
     assert any(f["stage"] == "composition" for f in report["failures"])
 
@@ -109,3 +110,65 @@ def test_conjugation_fiber_shape():
     assert len(fib.generators) == 27
     report = check_groupoid_axioms(fib, triple_cap=300)
     assert report["failures"] == []
+
+
+def test_unmatched_generator_is_reported_and_not_composed():
+    group = make_group("S3")
+    flat = grothendieck(hurwitz_fibered_system(group, 2))
+    direct = hurwitz_direct_presentation(group, 2)
+    full = compare_presentations(flat, direct)
+    dropped = direct.generators[0]
+    partial = FiniteGroupoidPresentation(
+        direct.objects, direct.generators[1:], direct.compose_fn,
+        direct.identity, direct.inverse)
+    report = compare_presentations(flat, partial)
+    assert [f["stage"] for f in report["failures"]] == ["generators"]
+    # pairs through the dropped generator: it composes after each generator
+    # arriving at its source, and before each one leaving its target
+    arriving = sum(a.target == dropped.source for a in direct.generators)
+    leaving = len(direct.by_source[dropped.target])
+    loop = dropped.source == dropped.target
+    assert report["compositions"] == \
+        full["compositions"] - arriving - leaving + loop
+
+
+def test_axiom_pairs_do_not_depend_on_generator_order():
+    base = permutation_base(3)
+    shuffled = FiniteGroupoidPresentation(
+        base.objects,
+        tuple(sorted(base.generators,
+                     key=lambda a: base.objects.index(a.source),
+                     reverse=True)),
+        base.compose_fn, base.identity, base.inverse)
+    assert shuffled.generators != base.generators
+    want = check_groupoid_axioms(base)
+    got = check_groupoid_axioms(shuffled)
+    assert got["failures"] == want["failures"] == []
+    assert got["pairs"] == want["pairs"] == 6 * 2 * 2
+
+
+def test_generators_off_the_object_set_are_endpoint_failures():
+    base = permutation_base(3)
+    cut = FiniteGroupoidPresentation(
+        base.objects[1:], base.generators, base.compose_fn,
+        base.identity, base.inverse)
+    report = check_groupoid_axioms(cut, triple_cap=0)
+    # the two generators leaving the dropped object and the two arriving
+    assert sum(f["axiom"] == "endpoints" for f in report["failures"]) == 4
+
+
+def test_generator_words_are_normalized_once_per_presentation(monkeypatch):
+    calls = []
+    real = gbraids.groupoid.normal_form
+
+    def counting(word):
+        calls.append(word)
+        return real(word)
+
+    monkeypatch.setattr(gbraids.groupoid, "normal_form", counting)
+    r = 3
+    hurwitz_direct_presentation(make_group("S3"), r)
+    assert len(calls) <= r - 1
+    calls.clear()
+    permutation_base(r)
+    assert len(calls) <= r - 1
