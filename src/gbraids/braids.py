@@ -117,16 +117,26 @@ class BraidWord:
                 raise BraidError(f"letter {l} out of range for {self.strands} strands")
 
     @classmethod
+    def _trusted(cls, strands: int, letters: tuple[int, ...]) -> "BraidWord":
+        """Build without the checks of ``__post_init__``, for callers whose
+        letters are already nonzero and in range."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "strands", strands)
+        object.__setattr__(w, "letters", letters)
+        return w
+
+    @classmethod
     def identity(cls, strands: int) -> "BraidWord":
         return cls(strands, ())
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
             raise BraidError("strand count mismatch")
-        return BraidWord(self.strands, self.letters + other.letters)
+        return BraidWord._trusted(self.strands, self.letters + other.letters)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-l for l in reversed(self.letters)))
+        return BraidWord._trusted(self.strands,
+                                  tuple(-l for l in reversed(self.letters)))
 
     def __str__(self) -> str:
         return " ".join(str(l) for l in self.letters)
@@ -263,7 +273,7 @@ def normal_form(w: BraidWord) -> BraidWord:
         letters = [-l for l in reversed(delta)] * -power
     for _, inv in factors:
         letters += _simple_letters(inv)
-    return BraidWord(n, tuple(letters))
+    return BraidWord._trusted(n, tuple(letters))
 
 
 def braids_equal(u: BraidWord, v: BraidWord) -> bool:

@@ -6,9 +6,11 @@ inverse (the fields ``identity`` and ``inverse``) and for composition of
 composable arrows (``compose``, which checks that the arrows meet before it
 calls ``compose_fn``).  Each presentation groups its generators by source
 once, when it is built (``by_source``, in generator order); the flattening,
-the axiom check and the comparison read that index.  Arrow labels are required to be canonical (equal arrows carry equal labels),
-which makes equality of morphisms decidable; for braid-word labels this is
-supplied by the Garside normal form.
+the axiom check and the comparison read that index.  Arrow labels are
+required to be canonical (equal arrows carry equal labels), which makes
+equality of morphisms decidable; for braid-word labels this is supplied by
+the Garside normal form, behind one memo per presentation, since its
+compositions meet the same few words again and again.
 
 ``grothendieck`` flattens a base groupoid acting on a family of fiber
 groupoids into a single groupoid: objects are pairs ``(y, x)`` with x in the
@@ -29,12 +31,13 @@ generator-by-generator in ``compare_presentations``.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .braids import BraidWord, Permutation, all_permutations, normal_form, underlying_permutation
-from .groups import FiniteGroup, GroupElement
+from .braids import BraidWord, Permutation, all_permutations, normal_form
+from .groups import FiniteGroup
 from .hurwitz import DecoratedTuple, bare_space, braid_act, conjugate_act
 
 
@@ -178,19 +181,20 @@ def permutation_base(r: int) -> FiniteGroupoidPresentation:
     """Permutations of r positions; arrows are canonical braid words acting
     by left multiplication of the underlying permutation."""
     objects = tuple(all_permutations(r))
+    canonical = functools.cache(normal_form)  # one memo per presentation
 
     def compose(second: Arrow, first: Arrow) -> Arrow:
         return Arrow(first.source, second.target,
-                     normal_form(second.label * first.label))
+                     canonical(second.label * first.label))
 
     def identity(sigma) -> Arrow:
         return Arrow(sigma, sigma, BraidWord.identity(r))
 
     def inverse(arrow: Arrow) -> Arrow:
         return Arrow(arrow.target, arrow.source,
-                     normal_form(arrow.label.inverse()))
+                     canonical(arrow.label.inverse()))
 
-    moves = [(Permutation.transposition(j, r), normal_form(BraidWord(r, (j,))))
+    moves = [(Permutation.transposition(j, r), canonical(BraidWord(r, (j,))))
              for j in range(1, r)]
     generators = tuple(Arrow(sigma, t @ sigma, word)
                        for sigma in objects for t, word in moves)
@@ -238,17 +242,13 @@ def hurwitz_direct_presentation(group: FiniteGroup, r: int) -> FiniteGroupoidPre
     canonical braid word and a group element, composed componentwise."""
     space = bare_space(group, r)
     objects = tuple((y, x) for y in all_permutations(r) for x in space)
-
-    def target_of(source, word: BraidWord, h: GroupElement):
-        y, x = source
-        return (underlying_permutation(word) @ y,
-                braid_act(word, conjugate_act(h, x)))
+    canonical = functools.cache(normal_form)  # one memo per presentation
 
     def compose(second: Arrow, first: Arrow) -> Arrow:
         c0, h0 = first.label
         c1, h1 = second.label
         return Arrow(first.source, second.target,
-                     (normal_form(c1 * c0), h1 * h0))
+                     (canonical(c1 * c0), h1 * h0))
 
     def identity(obj) -> Arrow:
         return Arrow(obj, obj, (BraidWord.identity(r), group.identity))
@@ -256,18 +256,19 @@ def hurwitz_direct_presentation(group: FiniteGroup, r: int) -> FiniteGroupoidPre
     def inverse(arrow: Arrow) -> Arrow:
         c, h = arrow.label
         return Arrow(arrow.target, arrow.source,
-                     (normal_form(c.inverse()), h.inverse()))
+                     (canonical(c.inverse()), h.inverse()))
 
-    words = [normal_form(BraidWord(r, (j,))) for j in range(1, r)]
+    moves = [(Permutation.transposition(j, r), canonical(BraidWord(r, (j,))))
+             for j in range(1, r)]
     unit = BraidWord.identity(r)
     generators = []
     for obj in objects:
-        for word in words:
-            generators.append(Arrow(
-                obj, target_of(obj, word, group.identity),
-                (word, group.identity)))
+        y, x = obj
+        for t, word in moves:
+            generators.append(Arrow(obj, (t @ y, braid_act(word, x)),
+                                    (word, group.identity)))
         for h in group:
-            generators.append(Arrow(obj, target_of(obj, unit, h), (unit, h)))
+            generators.append(Arrow(obj, (y, conjugate_act(h, x)), (unit, h)))
     return FiniteGroupoidPresentation(objects, tuple(generators),
                                       compose, identity, inverse)
 

@@ -22,11 +22,17 @@ taken over positions p in ascending order, and the per-position holonomies
 Braid words act through :func:`braid_act` with the rightmost letter first,
 so a word acts on the permutation part by left multiplication with its
 underlying permutation.
+
+Orbits are searched on int states: ``sigma.images`` and then the indices of
+``b`` (``b`` alone for a bare point), so tuple order is the order of
+``DecoratedTuple.sort_key``, and only the returned states become tuples.  The
+search follows the positive generators alone, which is enough: the braid
+group acts on a finite set, so each generator permutes it with some finite
+order k, and its inverse is its (k-1)-st power.
 """
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -191,8 +197,8 @@ def conjugate_act(h: GroupElement, x: DecoratedTuple) -> DecoratedTuple:
     the boundary output is conjugated by h and the action commutes with every
     braid generator."""
     if x.is_bare():
-        return DecoratedTuple(tuple(h * t * h.inverse() for t in x.b))
-    return DecoratedTuple(tuple(h * t for t in x.b), x.sigma, x.colors)
+        return DecoratedTuple._trusted(tuple(h * t * ~h for t in x.b))
+    return DecoratedTuple._trusted(tuple(h * t for t in x.b), x.sigma, x.colors)
 
 
 # -- components and orbits -----------------------------------------------
@@ -244,36 +250,79 @@ def component_objects(colors: tuple[GroupElement, ...],
     return out
 
 
-def _neighbors(x: DecoratedTuple):
-    for j in range(1, x.size):
-        yield hurwitz_generator(x, j)
-        yield hurwitz_generator(x, -j)
+def _kernel(x: DecoratedTuple):
+    """``(encode, moves, decode)`` for the points of x's size, group and
+    colors.  A state is ``sort_key`` flattened; ``moves`` yields the states
+    that the positive generators send a state to, and ``decode`` builds one
+    ``Permutation`` per distinct sigma."""
+    r, colors = x.size, x.colors
+    k = 0 if colors is None else r  # where b starts in a state
+    els, mul, conj = (x.group.elements(), x.group.mul, x.group.conj) if r \
+        else ((), (), ())
+    color = [c.index for c in colors or ()]
+    perms = {}
+
+    def moves(s):
+        for j in range(1, r):
+            t = list(s)
+            a, c = s[k + j - 1], s[k + j]
+            if colors is None:
+                c = conj[a][c]
+            else:  # the slots arriving at positions j and j+1 swap places
+                p, q = s.index(j, 0, r), s.index(j + 1, 0, r)
+                t[p], t[q] = j + 1, j
+                c = mul[conj[a][color[p]]][c]
+            t[k + j - 1], t[k + j] = c, a
+            yield tuple(t)
+
+    def decode(s):
+        b = tuple(els[i] for i in s[k:])
+        if colors is None:
+            return DecoratedTuple._trusted(b)
+        sigma = perms.get(s[:r])
+        if sigma is None:
+            sigma = perms[s[:r]] = Permutation._trusted(s[:r])
+        return DecoratedTuple._trusted(b, sigma, colors)
+
+    return lambda y: sum(y.sort_key(), ()), moves, decode
+
+
+def _search(start, moves, seen: set) -> list:
+    """The states reachable from ``start`` and not in ``seen``, sorted; adds
+    them to ``seen``."""
+    seen.add(start)
+    found, stack = [start], [start]
+    while stack:
+        for t in moves(stack.pop()):
+            if t not in seen:
+                seen.add(t)
+                found.append(t)
+                stack.append(t)
+    found.sort()
+    return found
 
 
 def orbit(x: DecoratedTuple) -> tuple[DecoratedTuple, ...]:
     """Braid-word orbit of a point, sorted; first entry is the canonical
     representative."""
-    seen = {x}
-    queue = deque([x])
-    while queue:
-        y = queue.popleft()
-        for z in _neighbors(y):
-            if z not in seen:
-                seen.add(z)
-                queue.append(z)
-    return tuple(sorted(seen))
+    encode, moves, decode = _kernel(x)
+    return tuple(map(decode, _search(encode(x), moves, set())))
 
 
 def partition(points) -> list[tuple[DecoratedTuple, ...]]:
-    """Orbits of a braid-stable set of points, ordered by representative."""
-    remaining = set(points)
-    orbits = []
-    while remaining:
-        x = min(remaining)
-        o = orbit(x)
-        orbits.append(o)
-        remaining -= set(o)
-    orbits.sort(key=lambda o: o[0].sort_key())
+    """Orbits of a braid-stable set of points of one size, group and colors
+    (one boundary component, or one bare space), ordered by representative.
+
+    The states are walked in sorted order, and the search starts from each
+    one not yet seen, which is the least state of its orbit."""
+    points = list(points)
+    if not points:
+        return []
+    encode, moves, decode = _kernel(points[0])
+    seen, orbits = set(), []
+    for s in sorted(map(encode, points)):
+        if s not in seen:
+            orbits.append(tuple(map(decode, _search(s, moves, seen))))
     return orbits
 
 

@@ -123,6 +123,20 @@ def test_golden_normal_forms():
         "31c0332dd81baba9c575e64d65791b554b68088d4e8fe1deca5f50eded1a7be5"
 
 
+def test_normal_form_letters_are_in_range():
+    # normal_form builds its word without the constructor's checks; the
+    # words are those of test_golden_normal_forms
+    rng = random.Random("golden-normal-forms")
+    for _ in range(120):
+        n = rng.randint(2, 8)
+        length = rng.randint(0, 200)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                        for _ in range(length))
+        nf = normal_form(BraidWord(n, letters))
+        assert nf.strands == n
+        assert all(1 <= abs(l) <= n - 1 for l in nf.letters)
+
+
 def _inversions(p):
     return sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
 

@@ -39,6 +39,14 @@ GOLDEN = [
      "2aea38daca64dd4028a90fbba36a409ef2a4ce00030dffe5b6a79a4d0ef5cff6"),
     ("coherence --group C2", 0,
      "61cc2bf6fa5b9e235678b2b1c0abead4798f76db4a1ea600f1eb470aae725035"),
+    ("orbits --group S3 --signature 2,5,1,3->1", 0,
+     "2f0a71d60996276e2d6f4b3d56b7f35e550742cdbc046647c0dfade49b0dba1d"),
+    ("orbits --group D4 --strands 4", 0,
+     "880a823a69b909569bc0bc0d13c664be7cf8cbd52ac7ab53c563224cc3841e26"),
+    ("orbits --group D4 --signature 3,3,4->4 --sample 4 --seed 640365", 0,
+     "5f7ccdcbfceb43ee7dccc8ee80237aa76318d4c2c3a726d523fb94742adbcab3"),
+    ("grothendieck --group S3 --strands 2", 0,
+     "4b626dd7fa49d7fdb6154e348e60331349d2cb7cefe99c5c05f65cae782d0bf6"),
 ]
 
 

@@ -172,3 +172,19 @@ def test_generator_words_are_normalized_once_per_presentation(monkeypatch):
     calls.clear()
     permutation_base(r)
     assert len(calls) <= r - 1
+
+
+def test_normal_form_is_memoized_per_presentation(monkeypatch):
+    calls = []
+    real = gbraids.groupoid.normal_form
+
+    def counting(word):
+        calls.append(word)
+        return real(word)
+
+    monkeypatch.setattr(gbraids.groupoid, "normal_form", counting)
+    report = compare_grothendieck_to_direct(make_group("S3"), 3)
+    assert report["compositions"] == 82944
+    assert report["failures"] == []
+    # 248,836 calls without the memo
+    assert len(calls) <= 40

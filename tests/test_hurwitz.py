@@ -16,6 +16,7 @@ from gbraids.groups import GroupMismatchError, make_group
 from gbraids.hurwitz import (
     ColorSignature,
     DecoratedTuple,
+    bare_space,
     boundary_colors,
     braid_act,
     color_condition,
@@ -28,6 +29,7 @@ from gbraids.hurwitz import (
     orbit,
     parse_signature,
     parse_tuple,
+    partition,
     pi0_component,
     pi0_hurwitz_space,
 )
@@ -284,6 +286,66 @@ def test_orbit_canonical_representative_is_minimum():
     assert all(o[i] < o[i + 1] for i in range(len(o) - 1))
     for x in objs:
         assert orbit(x) == orbit(braid_act(BraidWord(2, (1, 1)), x))
+
+
+def test_conjugate_act_rejects_mixed_groups():
+    s3, c2 = make_group("S3"), make_group("C2")
+    bare = DecoratedTuple((s3.element(2), s3.element(5)))
+    colored = DecoratedTuple(bare.b, Permutation((2, 1)),
+                             (s3.element(1), s3.element(3)))
+    for x in (bare, colored):
+        with pytest.raises(GroupMismatchError):
+            conjugate_act(c2.element(1), x)
+
+
+# -- the orbit search on int states --------------------------------------
+
+
+def test_orbits_are_closed_under_both_signs_of_every_generator():
+    # the search follows positive moves only; hurwitz_generator applies
+    # both signs on its own, so a closed orbit shows that positive moves
+    # reach everything the braid group does
+    rng = random.Random(53)
+    s3, d4 = make_group("S3"), make_group("D4")
+    starts = [DecoratedTuple(tuple(s3.element(rng.randrange(6))
+                                   for _ in range(4))) for _ in range(2)]
+    starts += [_random_colored(s3, 4, rng) for _ in range(2)]
+    starts += [_random_colored(d4, 3, rng) for _ in range(2)]
+    for x in starts:
+        o = orbit(x)
+        points = set(o)
+        assert x in points and len(points) == len(o)
+        for y in o:
+            for j in range(1, y.size):
+                assert hurwitz_generator(y, j) in points
+                assert hurwitz_generator(y, -j) in points
+
+
+def test_partition_sorts_orders_and_covers():
+    s3 = make_group("S3")
+    colors = tuple(s3.element(i) for i in (2, 5, 1))
+    for points in (component_objects(colors, s3.element(5)),
+                   bare_space(s3, 3)):
+        orbits = partition(points)
+        for o in orbits:
+            keys = [x.sort_key() for x in o]
+            assert keys == sorted(keys)
+        reps = [o[0].sort_key() for o in orbits]
+        assert reps == sorted(set(reps))
+        flat = [x for o in orbits for x in o]
+        assert len(flat) == len(set(flat)) == len(points)
+        assert set(flat) == set(points)
+        assert partition(reversed(points)) == orbits
+
+
+def test_partition_edge_cases():
+    assert partition([]) == []
+    s3 = make_group("S3")
+    for points in (component_objects((), s3.identity),
+                   component_objects((s3.element(3),), s3.element(4)),
+                   bare_space(s3, 0), bare_space(s3, 1)):
+        assert points
+        assert partition(points) == [(x,) for x in points]
 
 
 def test_color_condition_matches_spec_example():
