@@ -102,8 +102,9 @@ class CrossedAlgebraData:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise AlgebraError("modulus must be positive")
+        # type checks, not isinstance: a JSON true is a bool, and bool is int
+        if type(self.modulus) is not int or self.modulus < 1:
+            raise AlgebraError("modulus must be a positive integer")
         order = variable_order(self.group)
         missing = [v for v in order if v not in self.values]
         extra = self.values.keys() - set(order)
@@ -112,7 +113,7 @@ class CrossedAlgebraData:
                 f"variable table mismatch: {len(missing)} missing, "
                 f"{len(extra)} unexpected")
         for v, x in self.values.items():
-            if not isinstance(x, int) or not 0 <= x < self.modulus:
+            if type(x) is not int or not 0 <= x < self.modulus:
                 raise AlgebraError(f"value {x!r} for {v} out of range")
 
     def scalar(self, gen: str, key: tuple[int, ...]) -> int:

@@ -36,8 +36,8 @@ from .algebra import CrossedAlgebraData, check_coherence, solve_coherence
 from .groupoid import compare_grothendieck_to_direct
 from .groups import FiniteGroup, GroupError, make_group
 from .hurwitz import (DecoratedTuple, bare_space, component_objects,
-                      format_signature, format_tuple, orbit, parse_signature,
-                      partition, HurwitzError)
+                      format_signature, orbit, parse_signature, partition,
+                      HurwitzError)
 from .operad import Bounds, CapExceeded, check_operad_axioms
 from .relations import RelationError, check_all_relations, relation_entries
 
@@ -110,11 +110,11 @@ def _parse_bounds(text: str) -> Bounds:
 
 
 def _decorated_json(x: DecoratedTuple) -> dict:
-    if x.is_bare():
-        return {"b": format_tuple(x.b)}
-    return {"b": format_tuple(x.b),
-            "sigma": list(x.sigma.images),
-            "colors": format_tuple(x.colors)}
+    images, b = x.sort_key()
+    out = {"b": ",".join(map(str, b))}
+    if not x.is_bare():
+        out.update(sigma=list(images), colors=",".join(map(str, x.hues)))
+    return out
 
 
 # -- subcommands ---------------------------------------------------------

@@ -23,10 +23,12 @@ Braid words act through :func:`braid_act` with the rightmost letter first,
 so a word acts on the permutation part by left multiplication with its
 underlying permutation.
 
-Orbits are searched on int states: ``sigma.images`` and then the indices of
-``b`` (``b`` alone for a bare point), so tuple order is the order of
-``DecoratedTuple.sort_key``, and only the returned states become tuples.  The
-search follows the positive generators alone, which is enough: the braid
+Points are int states: a point holds its group, the one-line images of
+``sigma`` followed by the indices of ``b`` (``b`` alone when bare), and the
+color indices by slot.  ``b``, ``sigma`` and ``colors`` are views built on
+demand; the checked constructor is the one place where elements become
+indices.  One state move serves :func:`hurwitz_generator`, :func:`braid_act`
+and the orbit search, which follows the positive generators alone: the braid
 group acts on a finite set, so each generator permutes it with some finite
 order k, and its inverse is its (k-1)-st power.
 """
@@ -36,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .braids import BraidWord, Permutation, all_permutations
+from .braids import BraidWord, Permutation
 from .groups import FiniteGroup, GroupElement, GroupMismatchError, product_of
 
 
@@ -53,63 +55,81 @@ def _require_group(group: FiniteGroup, *tuples) -> None:
                     f"{e.group.label}")
 
 
-@dataclass(frozen=True)
+# ordered by state, which for points of one shape is sort_key order
+@dataclass(frozen=True, order=True, init=False, slots=True)
 class DecoratedTuple:
-    b: tuple[GroupElement, ...]
-    sigma: Optional[Permutation] = None
-    colors: Optional[tuple[GroupElement, ...]] = None
+    group: Optional[FiniteGroup]  # None for a point with no entries
+    state: tuple[int, ...]
+    hues: Optional[tuple[int, ...]]
 
-    def __post_init__(self):
-        if (self.sigma is None) != (self.colors is None):
+    def __init__(self, b, sigma=None, colors=None):
+        self.__post_init__(b, sigma, colors)
+
+    def __post_init__(self, b, sigma, colors):
+        """Check the elements and store them as indices."""
+        if (sigma is None) != (colors is None):
             raise HurwitzError("sigma and colors must be given together")
-        entries = self.b
-        if self.colors is not None:
-            if len(self.colors) != len(self.b):
+        entries, images, hues = tuple(b), (), None
+        if colors is not None:
+            if len(colors) != len(b):
                 raise HurwitzError("colors and decorations differ in length")
-            if self.sigma.size != len(self.b):
+            if sigma.size != len(b):
                 raise HurwitzError("permutation size mismatch")
-            entries = entries + self.colors
-        if entries:
-            _require_group(entries[0].group, entries)
+            entries += tuple(colors)
+            images, hues = sigma.images, tuple(c.index for c in colors)
+        group = entries[0].group if entries else None
+        _require_group(group, entries)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "state", images + tuple(e.index for e in b))
+        object.__setattr__(self, "hues", hues)
 
     @classmethod
-    def _trusted(cls, b, sigma=None, colors=None) -> "DecoratedTuple":
+    def _trusted(cls, group, state, hues=None) -> "DecoratedTuple":
         """Build without the checks of ``__post_init__``, for callers whose
-        entries already share one group and agree in length."""
-        # attribute by attribute: touching __dict__ would materialize a
-        # separate dict and double the size of every instance
+        state and hues are already valid indices of ``group``."""
         x = object.__new__(cls)
-        object.__setattr__(x, "b", b)
-        object.__setattr__(x, "sigma", sigma)
-        object.__setattr__(x, "colors", colors)
+        # a point with no entries has no group, as in its checked build
+        object.__setattr__(x, "group", group if state else None)
+        object.__setattr__(x, "state", state)
+        object.__setattr__(x, "hues", hues)
         return x
 
     @property
     def size(self) -> int:
-        return len(self.b)
-
-    @property
-    def group(self) -> FiniteGroup:
-        if not self.b:
-            raise HurwitzError("empty tuple has no determined group")
-        return self.b[0].group
+        return len(self.state) if self.hues is None else len(self.hues)
 
     def is_bare(self) -> bool:
-        return self.colors is None
+        return self.hues is None
 
     def sort_key(self):
-        sig = self.sigma.images if self.sigma is not None else ()
-        return (sig, tuple(e.index for e in self.b))
+        """The state split into sigma's images (() when bare) and ``b``."""
+        r = 0 if self.hues is None else len(self.hues)
+        return self.state[:r], self.state[r:]
 
-    def __lt__(self, other: "DecoratedTuple") -> bool:
-        return self.sort_key() < other.sort_key()
+    def _view(self, indices) -> tuple[GroupElement, ...]:
+        els = self.group.elements() if indices else ()  # no group if empty
+        return tuple([els[i] for i in indices])
+
+    @property
+    def b(self) -> tuple[GroupElement, ...]:
+        return self._view(self.sort_key()[1])
+
+    @property
+    def sigma(self) -> Optional[Permutation]:
+        if self.hues is None:
+            return None
+        return Permutation._trusted(self.state[:len(self.hues)])
+
+    @property
+    def colors(self) -> Optional[tuple[GroupElement, ...]]:
+        return None if self.hues is None else self._view(self.hues)
 
     def __str__(self) -> str:
-        body = format_tuple(self.b)
+        images, decorations = self.sort_key()
+        body = ",".join(map(str, decorations))
         if self.is_bare():
             return body
-        perm = ",".join(str(v) for v in self.sigma.images)
-        return f"[{perm}]({body})"
+        return f"[{','.join(map(str, images))}]({body})"
 
 
 @dataclass(frozen=True)
@@ -118,77 +138,107 @@ class ColorSignature:
     output: GroupElement
 
 
+def _holonomy(group: FiniteGroup, pairs) -> int:
+    """Index of the boundary output ``prod_p b_p g_p b_p^-1``, for the index
+    pairs ``(b_p, g_p)`` of the decoration at each position and the color
+    arriving there, in position order."""
+    mul, conj = group.mul, group.conj
+    acc = group.identity_index
+    for x, g in pairs:
+        acc = mul[acc][conj[x][g]]
+    return acc
+
+
+def _arriving(images, hues) -> list[int]:
+    """The color index arriving at each position, when slot k sits at
+    position ``images[k]`` (1-based) and has color index ``hues[k]``."""
+    arriving = [0] * len(hues)
+    for g, p in zip(hues, images):
+        arriving[p - 1] = g
+    return arriving
+
+
+def _output(x: DecoratedTuple) -> int:
+    """Index of the boundary output of a colored point with entries."""
+    r = len(x.hues)
+    return _holonomy(x.group, zip(x.state[r:], _arriving(x.state, x.hues)))
+
+
 def color_condition(sigma: Permutation, b: tuple[GroupElement, ...],
                     colors: tuple[GroupElement, ...]) -> GroupElement:
     """Product of the position holonomies ``b_p g_{sigma^{-1}(p)} b_p^{-1}``
     in ascending position order."""
+    if not colors:
+        raise HurwitzError("the empty point has no boundary color")
     group = colors[0].group
     _require_group(group, b, colors)
-    mul, conj = group.mul, group.conj
-    arriving = [None] * len(colors)  # the color arriving at each position
+    pairs = [None] * len(colors)  # by position, as in _arriving
     for c, p in zip(colors, sigma.images):
-        arriving[p - 1] = c.index
-    acc = group.identity_index
-    for x, g in zip(b, arriving):
-        acc = mul[acc][conj[x.index][g]]
-    return group.elements()[acc]
+        pairs[p - 1] = (b[p - 1].index, c.index)
+    return group.elements()[_holonomy(group, pairs)]
 
 
 def holonomies(x: DecoratedTuple) -> tuple[GroupElement, ...]:
     """Per-position holonomy of a colored tuple, as a bare tuple."""
-    if x.is_bare():
+    if x.is_bare() or not x.state:
         return x.b
-    inv = x.sigma.inverse()
-    return tuple(x.b[p - 1] * x.colors[inv(p) - 1] * x.b[p - 1].inverse()
-                 for p in range(1, x.size + 1))
+    els, conj = x.group.elements(), x.group.conj
+    return tuple(els[conj[d][g]] for d, g in
+                 zip(x.sort_key()[1], _arriving(x.state, x.hues)))
 
 
 def boundary_colors(x: DecoratedTuple) -> ColorSignature:
+    if not x.state:
+        raise HurwitzError("the empty point has no boundary")
     if x.is_bare():
-        if not x.b:
-            raise HurwitzError("empty bare tuple has no boundary")
         return ColorSignature(x.b, product_of(x.b, x.group))
-    return ColorSignature(x.colors, color_condition(x.sigma, x.b, x.colors))
+    return ColorSignature(x.colors, x.group.elements()[_output(x)])
+
+
+def _move(state: tuple[int, ...], letter: int, group: FiniteGroup,
+          hues: Optional[tuple[int, ...]]) -> tuple[int, ...]:
+    """The state that the signed generator at position ``abs(letter)`` sends
+    ``state`` to; ``hues`` is None for a bare point."""
+    j = abs(letter)
+    t = list(state)
+    if hues is None:
+        a, c = state[j - 1], state[j]
+        if letter > 0:
+            t[j - 1], t[j] = group.conj[a][c], a
+        else:
+            t[j - 1], t[j] = c, group.conj[group.inv[c]][a]
+        return tuple(t)
+    # the slots p and q arriving at positions j and j+1; t_j o sigma swaps them
+    r = len(hues)
+    p, q = state.index(j, 0, r), state.index(j + 1, 0, r)
+    t[p], t[q] = j + 1, j
+    k = r + j - 1  # where b_j sits
+    a, c = state[k], state[k + 1]
+    mul, conj = group.mul, group.conj
+    if letter > 0:
+        t[k], t[k + 1] = mul[conj[a][hues[p]]][c], a
+    else:
+        t[k], t[k + 1] = c, mul[group.inv[conj[c][hues[q]]]][a]
+    return tuple(t)
 
 
 def hurwitz_generator(x: DecoratedTuple, letter: int) -> DecoratedTuple:
     """Apply one signed generator at position ``abs(letter)``."""
-    j = abs(letter)
-    n = len(x.b)
+    j, n = abs(letter), x.size
     if not 1 <= j <= n - 1:
         raise HurwitzError(f"generator {letter} out of range for size {n}")
-    group = x.b[0].group
-    mul, inv, conj = group.mul, group.inv, group.conj
-    els = group.elements()
-    b = list(x.b)
-    s, t = b[j - 1].index, b[j].index
-    if x.colors is None:
-        if letter > 0:
-            b[j - 1], b[j] = els[conj[s][t]], b[j - 1]
-        else:
-            b[j - 1], b[j] = b[j], els[conj[inv[t]][s]]
-        return DecoratedTuple._trusted(tuple(b))
-    # the slots p and q arriving at positions j and j+1; t_j o sigma swaps them
-    images = list(x.sigma.images)
-    p, q = images.index(j), images.index(j + 1)
-    images[p], images[q] = j + 1, j
-    if letter > 0:
-        g = x.colors[p].index
-        b[j - 1], b[j] = els[mul[conj[s][g]][t]], b[j - 1]
-    else:
-        g = x.colors[q].index
-        b[j - 1], b[j] = b[j], els[mul[inv[conj[t][g]]][s]]
-    sigma = Permutation._trusted(tuple(images))
-    return DecoratedTuple._trusted(tuple(b), sigma, x.colors)
+    return DecoratedTuple._trusted(
+        x.group, _move(x.state, letter, x.group, x.hues), x.hues)
 
 
 def braid_act(w: BraidWord, x: DecoratedTuple) -> DecoratedTuple:
     """Act by a braid word, rightmost letter first."""
     if w.strands != x.size:
         raise HurwitzError("strand count does not match tuple size")
+    state = x.state
     for l in reversed(w.letters):
-        x = hurwitz_generator(x, l)
-    return x
+        state = _move(state, l, x.group, x.hues)
+    return DecoratedTuple._trusted(x.group, state, x.hues)
 
 
 def conjugate_act(h: GroupElement, x: DecoratedTuple) -> DecoratedTuple:
@@ -196,9 +246,13 @@ def conjugate_act(h: GroupElement, x: DecoratedTuple) -> DecoratedTuple:
     tuple, or left-translate every decoration of a colored one.  Either way
     the boundary output is conjugated by h and the action commutes with every
     braid generator."""
-    if x.is_bare():
-        return DecoratedTuple._trusted(tuple(h * t * ~h for t in x.b))
-    return DecoratedTuple._trusted(tuple(h * t for t in x.b), x.sigma, x.colors)
+    if not x.state:
+        return x
+    _require_group(x.group, (h,))
+    images, decorations = x.sort_key()
+    row = (x.group.conj if x.is_bare() else x.group.mul)[h.index]
+    return DecoratedTuple._trusted(
+        x.group, images + tuple(row[t] for t in decorations), x.hues)
 
 
 # -- components and orbits -----------------------------------------------
@@ -206,8 +260,8 @@ def conjugate_act(h: GroupElement, x: DecoratedTuple) -> DecoratedTuple:
 
 def bare_space(group: FiniteGroup, r: int) -> tuple[DecoratedTuple, ...]:
     """The points of ``G^r``, in lexicographic order of element indices."""
-    return tuple(DecoratedTuple._trusted(b)
-                 for b in itertools.product(group.elements(), repeat=r))
+    return tuple(DecoratedTuple._trusted(group, b)
+                 for b in itertools.product(range(group.order), repeat=r))
 
 
 def component_objects(colors: tuple[GroupElement, ...],
@@ -223,81 +277,42 @@ def component_objects(colors: tuple[GroupElement, ...],
     group = output.group
     _require_group(group, colors)
     r = len(colors)
+    hues = tuple(c.index for c in colors)
     if r == 0:
-        empty = DecoratedTuple((), Permutation(()), ())
+        empty = DecoratedTuple._trusted(group, (), ())
         return [empty] if output.is_identity() else []
-    els = group.elements()
     mul, inv, conj = group.mul, group.inv, group.conj
-    color_index = [c.index for c in colors]
     # roots[g][h]: the x with x g x^-1 = h, ascending
     roots = {}
-    for g in set(color_index):
+    for g in set(hues):
         roots[g] = by_h = {}
         for x in range(group.order):
             by_h.setdefault(conj[x][g], []).append(x)
     heads = list(itertools.product(range(group.order), repeat=r - 1))
     out = []
-    for sigma in all_permutations(r):
-        arriving = [color_index[s - 1] for s in sigma.inverse().images]
+    for images in itertools.permutations(range(1, r + 1)):
+        arriving = _arriving(images, hues)
         last = roots[arriving[-1]]
         for head in heads:
-            acc = group.identity_index
-            for x, g in zip(head, arriving):
-                acc = mul[acc][conj[x][g]]
+            acc = _holonomy(group, zip(head, arriving))  # positions 1..r-1
             for x in last.get(mul[inv[acc]][output.index], ()):
                 out.append(DecoratedTuple._trusted(
-                    tuple(els[i] for i in head + (x,)), sigma, colors))
+                    group, images + head + (x,), hues))
     return out
 
 
-def _kernel(x: DecoratedTuple):
-    """``(encode, moves, decode)`` for the points of x's size, group and
-    colors.  A state is ``sort_key`` flattened; ``moves`` yields the states
-    that the positive generators send a state to, and ``decode`` builds one
-    ``Permutation`` per distinct sigma."""
-    r, colors = x.size, x.colors
-    k = 0 if colors is None else r  # where b starts in a state
-    els, mul, conj = (x.group.elements(), x.group.mul, x.group.conj) if r \
-        else ((), (), ())
-    color = [c.index for c in colors or ()]
-    perms = {}
-
-    def moves(s):
-        for j in range(1, r):
-            t = list(s)
-            a, c = s[k + j - 1], s[k + j]
-            if colors is None:
-                c = conj[a][c]
-            else:  # the slots arriving at positions j and j+1 swap places
-                p, q = s.index(j, 0, r), s.index(j + 1, 0, r)
-                t[p], t[q] = j + 1, j
-                c = mul[conj[a][color[p]]][c]
-            t[k + j - 1], t[k + j] = c, a
-            yield tuple(t)
-
-    def decode(s):
-        b = tuple(els[i] for i in s[k:])
-        if colors is None:
-            return DecoratedTuple._trusted(b)
-        sigma = perms.get(s[:r])
-        if sigma is None:
-            sigma = perms[s[:r]] = Permutation._trusted(s[:r])
-        return DecoratedTuple._trusted(b, sigma, colors)
-
-    return lambda y: sum(y.sort_key(), ()), moves, decode
-
-
-def _search(start, moves, seen: set) -> list:
+def _search(start, group, hues, seen: set) -> list:
     """The states reachable from ``start`` and not in ``seen``, sorted; adds
     them to ``seen``."""
+    n = len(start) if hues is None else len(hues)
     seen.add(start)
-    found, stack = [start], [start]
-    while stack:
-        for t in moves(stack.pop()):
+    found = [start]
+    for s in found:  # a breadth-first walk: the list grows as it is read
+        for j in range(1, n):
+            t = _move(s, j, group, hues)
             if t not in seen:
                 seen.add(t)
                 found.append(t)
-                stack.append(t)
     found.sort()
     return found
 
@@ -305,8 +320,7 @@ def _search(start, moves, seen: set) -> list:
 def orbit(x: DecoratedTuple) -> tuple[DecoratedTuple, ...]:
     """Braid-word orbit of a point, sorted; first entry is the canonical
     representative."""
-    encode, moves, decode = _kernel(x)
-    return tuple(map(decode, _search(encode(x), moves, set())))
+    return partition([x])[0]
 
 
 def partition(points) -> list[tuple[DecoratedTuple, ...]]:
@@ -318,11 +332,12 @@ def partition(points) -> list[tuple[DecoratedTuple, ...]]:
     points = list(points)
     if not points:
         return []
-    encode, moves, decode = _kernel(points[0])
+    group, hues = points[0].group, points[0].hues
     seen, orbits = set(), []
-    for s in sorted(map(encode, points)):
+    for s in sorted(x.state for x in points):
         if s not in seen:
-            orbits.append(tuple(map(decode, _search(s, moves, seen))))
+            orbits.append(tuple(DecoratedTuple._trusted(group, t, hues)
+                                for t in _search(s, group, hues, seen)))
     return orbits
 
 

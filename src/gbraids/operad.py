@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .braids import Permutation, all_permutations, cable_permutation
 from .groups import FiniteGroup
-from .hurwitz import DecoratedTuple, color_condition, component_objects
+from .hurwitz import DecoratedTuple, _output, component_objects
 from .relations import tally
 from .trees import compose_normal, identity_normal_form
 
@@ -48,8 +48,10 @@ def sigma_action(x: DecoratedTuple, rho: Permutation) -> DecoratedTuple:
     positions and their decorations do not move."""
     if x.size != rho.size:
         raise OperadError("permutation size does not match arity")
-    colors = tuple(x.colors[rho(k) - 1] for k in range(1, x.size + 1))
-    return DecoratedTuple(x.b, x.sigma @ rho, colors)
+    images, b = x.sort_key()
+    return DecoratedTuple._trusted(
+        x.group, tuple(images[k - 1] for k in rho.images) + b,
+        tuple(x.hues[k - 1] for k in rho.images))
 
 
 @lru_cache(maxsize=256)
@@ -60,11 +62,11 @@ def _component(colors, output):
 
 def all_operations(group: FiniteGroup, r: int):
     """Every operation of arity r, in a fixed lexicographic order."""
-    elements = group.elements()
-    for colors in itertools.product(elements, repeat=r):
-        for sigma in all_permutations(r):
-            for b in itertools.product(elements, repeat=r):
-                yield DecoratedTuple(b, sigma, colors)
+    indices = range(group.order)
+    for hues in itertools.product(indices, repeat=r):
+        for images in itertools.permutations(range(1, r + 1)):
+            for b in itertools.product(indices, repeat=r):
+                yield DecoratedTuple._trusted(group, images + b, hues)
 
 
 # -- axiom checking ------------------------------------------------------
@@ -85,10 +87,10 @@ def _sequential_instances(group, bounds):
         for j in range(1, r + 1):
             for k in range(1, s + 1):
                 for x in all_operations(group, r):
-                    need = x.colors[j - 1]
+                    need = elements[x.hues[j - 1]]
                     for cy in itertools.product(elements, repeat=s):
                         for y in _component(cy, need):
-                            inner_need = y.colors[k - 1]
+                            inner_need = elements[y.hues[k - 1]]
                             for cz in itertools.product(elements, repeat=t):
                                 for z in _component(cz, inner_need):
                                     lhs = compose_normal(
@@ -108,9 +110,9 @@ def _parallel_instances(group, bounds):
             for i in range(j + 1, r + 1):
                 for x in all_operations(group, r):
                     for cy in itertools.product(elements, repeat=s):
-                        for y in _component(cy, x.colors[j - 1]):
+                        for y in _component(cy, elements[x.hues[j - 1]]):
                             for cz in itertools.product(elements, repeat=t):
-                                for z in _component(cz, x.colors[i - 1]):
+                                for z in _component(cz, elements[x.hues[i - 1]]):
                                     lhs = compose_normal(
                                         compose_normal(x, j, y), i + s - 1, z)
                                     rhs = compose_normal(
@@ -120,13 +122,12 @@ def _parallel_instances(group, bounds):
 
 
 def _unit_instances(group, bounds):
+    units = [identity_normal_form(c) for c in group.elements()]
     for r in range(1, bounds.max_arity + 1):
         for x in all_operations(group, r):
-            output = color_condition(x.sigma, x.b, x.colors)
-            ok = compose_normal(identity_normal_form(output), 1, x) == x
+            ok = compose_normal(units[_output(x)], 1, x) == x
             for j in range(1, r + 1):
-                ok = ok and \
-                    compose_normal(x, j, identity_normal_form(x.colors[j - 1])) == x
+                ok = ok and compose_normal(x, j, units[x.hues[j - 1]]) == x
             yield None if ok else f"r={r}"
 
 
@@ -140,7 +141,7 @@ def _equivariance_instances(group, bounds):
                 for cy in itertools.product(elements, repeat=s):
                     for rho in perms_r:
                         moved = sigma_action(x, rho)
-                        for y in _component(cy, moved.colors[j - 1]):
+                        for y in _component(cy, elements[moved.hues[j - 1]]):
                             lhs = compose_normal(moved, j, y)
                             rhs = sigma_action(
                                 compose_normal(x, rho(j), y),
@@ -148,7 +149,7 @@ def _equivariance_instances(group, bounds):
                             yield None if lhs == rhs else \
                                 f"outer r={r} s={s} j={j}"
                     for rho in perms_s:
-                        for y in _component(cy, x.colors[j - 1]):
+                        for y in _component(cy, elements[x.hues[j - 1]]):
                             lhs = compose_normal(x, j, sigma_action(y, rho))
                             rhs = sigma_action(
                                 compose_normal(x, j, y),

@@ -8,25 +8,27 @@ is the *position* order.
 
 ``normalize`` pushes every label down to the leaves (a label edge acts on
 both tensor children, and conjugates the output color) and records the
-result as a colored decorated tuple: ``sigma`` maps slot to position, the
-decoration ``b_p`` is the product of the labels accumulated along the path
-to the leaf in position p, and the colors stay indexed by slot.
-``denormalize`` rebuilds the left-parenthesized comb, so the two maps are
-mutually inverse bijections between normal forms and component objects.
+result as a colored decorated tuple, built from indices alone: ``sigma``
+maps slot to position, the decoration ``b_p`` is the product of the labels
+accumulated along the path to the leaf in position p, and the colors stay
+indexed by slot.  ``denormalize`` rebuilds the left-parenthesized comb, so
+the two maps are mutually inverse bijections between normal forms and
+component objects.
 
 Grafting substitutes a tree for an input leaf of matching color;
-``compose_normal`` performs the same operation directly on normal forms by
-splicing the inner positions into the outer position of the replaced slot
-and left-multiplying the inner decorations by the outer one.
+``compose_normal`` performs the same operation directly on the index states
+of normal forms: it checks the inner output color by the holonomy product,
+splices the inner positions into the outer position of the replaced slot
+and left-multiplies the inner decorations by the outer one.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .braids import Permutation
 from .groups import FiniteGroup, GroupElement, GroupMismatchError
-from .hurwitz import DecoratedTuple, color_condition
+from .hurwitz import DecoratedTuple, _holonomy, _output
 
 
 class TreeError(ValueError):
@@ -97,8 +99,8 @@ def leaf_count(t: GTree) -> int:
 def _leaves(t: GTree, mismatch: type[Exception]):
     """One iterative preorder walk.  Returns the group of the first leaf or
     label (None for an all-unit tree) and, in position order, one
-    ``(slot, accumulated label index, color)`` triple per input leaf, where
-    the label index is the product of the labels on the path to the leaf.
+    ``(slot, label, color)`` index triple per input leaf, where the label is
+    the product of the labels on the path to the leaf.
     Raises ``mismatch`` at the first element of another group."""
     group = None
     entries = []
@@ -121,7 +123,7 @@ def _leaves(t: GTree, mismatch: type[Exception]):
                 acc = group.mul[acc][element.index]
                 node = node.child
                 continue
-            entries.append((node.slot, acc, element))
+            entries.append((node.slot, acc, element.index))
         if not stack:
             return group, entries
         node, acc = stack.pop()
@@ -134,11 +136,7 @@ def output_color(t: GTree, group: Optional[FiniteGroup] = None) -> GroupElement:
     g = g or group
     if g is None:
         raise TreeError("cannot determine the group of an all-unit tree")
-    mul, conj = g.mul, g.conj
-    acc = g.identity_index
-    for _, label, color in entries:
-        acc = mul[acc][conj[label][color.index]]
-    return g.elements()[acc]
+    return g.elements()[_holonomy(g, (e[1:] for e in entries))]
 
 
 def _checked_leaves(t: GTree, group: Optional[FiniteGroup]):
@@ -146,7 +144,8 @@ def _checked_leaves(t: GTree, group: Optional[FiniteGroup]):
     than that of the first leaf or label, or than ``group`` when both are
     given, raises ``TreeError``, and so do slots that are not 1..r, each
     once.  Returns the group (``group`` for an all-unit tree), the
-    decoration of each position, and per slot its position and its color."""
+    decoration index of each position, and per slot its position and its
+    color index."""
     g, entries = _leaves(t, TreeError)
     if g is None:
         g = group
@@ -154,18 +153,15 @@ def _checked_leaves(t: GTree, group: Optional[FiniteGroup]):
         raise TreeError(f"mixed groups in one tree: {g.label} "
                         f"vs {group.label}")
     r = len(entries)
-    els = g.elements() if g is not None else ()  # no entries without a group
     images = [0] * r
-    colors = [None] * r
-    decorations = []
-    for position, (slot, label, color) in enumerate(entries, start=1):
+    hues = [0] * r
+    for position, (slot, _, color) in enumerate(entries, start=1):
         if not 1 <= slot <= r or images[slot - 1]:
             raise TreeError(
                 f"bad slot numbering {sorted(e[0] for e in entries)}")
         images[slot - 1] = position
-        colors[slot - 1] = color
-        decorations.append(els[label])
-    return g, decorations, images, colors
+        hues[slot - 1] = color
+    return g, tuple([e[1] for e in entries]), images, hues
 
 
 def validate(t: GTree, group: Optional[FiniteGroup] = None) -> int:
@@ -234,12 +230,10 @@ def leaf_offset(t: GTree, path: tuple[int, ...]) -> int:
 def normalize(t: GTree, group: Optional[FiniteGroup] = None) -> NormalForm:
     """The normal form of a tree, after the checks of ``validate``, which
     raise ``TreeError``.  ``group`` is needed only for an all-unit tree."""
-    g, decorations, images, colors = _checked_leaves(t, group)
+    g, decorations, images, hues = _checked_leaves(t, group)
     if g is None:
         raise TreeError("cannot normalize an all-unit tree without a group")
-    return NormalForm._trusted(tuple(decorations),
-                               Permutation._trusted(tuple(images)),
-                               tuple(colors))
+    return NormalForm._trusted(g, tuple(images) + decorations, tuple(hues))
 
 
 def denormalize(nf: NormalForm) -> GTree:
@@ -247,25 +241,19 @@ def denormalize(nf: NormalForm) -> GTree:
     omitted."""
     if nf.is_bare():
         raise TreeError("normal forms are colored tuples")
-    r = nf.size
-    if r == 0:
+    if nf.size == 0:
         return UnitLeaf()
-    inv = nf.sigma.inverse()
-
-    def limb(p: int) -> GTree:
-        slot = inv(p)
-        leaf = InputLeaf(slot, nf.colors[slot - 1])
-        label = nf.b[p - 1]
-        return leaf if label.is_identity() else LabelEdge(label, leaf)
-
-    tree = limb(1)
-    for p in range(2, r + 1):
-        tree = Tensor(tree, limb(p))
-    return tree
+    els, e = nf.group.elements(), nf.group.identity_index
+    images, b = nf.sort_key()
+    limbs = [None] * nf.size  # by position
+    for slot, (p, color) in enumerate(zip(images, nf.hues), start=1):
+        leaf = InputLeaf(slot, els[color])
+        limbs[p - 1] = leaf if b[p - 1] == e else LabelEdge(els[b[p - 1]], leaf)
+    return functools.reduce(Tensor, limbs)
 
 
 def identity_normal_form(color: GroupElement) -> NormalForm:
-    return NormalForm((color.group.identity,), Permutation((1,)), (color,))
+    return NormalForm._trusted(color.group, (1, 0), (color.index,))  # b = e
 
 
 def _map_leaves(t: GTree, leaf) -> GTree:
@@ -318,28 +306,23 @@ def graft(outer: GTree, j: int, inner: GTree) -> GTree:
 
 def compose_normal(outer: NormalForm, j: int, inner: NormalForm) -> NormalForm:
     """Grafting computed directly on normal forms."""
-    r, s = outer.size, inner.size
+    r, s = len(outer.hues), len(inner.hues)
     if not 1 <= j <= r:
         raise TreeError(f"slot {j} out of range")
     if s == 0:
         raise TreeError("cannot graft an empty tree into a slot")
-    inner_out = color_condition(inner.sigma, inner.b, inner.colors)
-    if inner_out != outer.colors[j - 1]:
+    group = outer.group
+    if inner.group is not group or _output(inner) != outer.hues[j - 1]:
         raise TreeError("output color of the grafted tree does not match")
-    # the colors agree, so both forms share one group and the result needs
-    # no re-validation
-    group = inner_out.group
-    outer_images = outer.sigma.images
+    # slot j, at outer position P, opens into the inner slots and positions
+    outer_images, outer_b = outer.state[:r], outer.state[r:]
     P = outer_images[j - 1]
-    row, els = group.mul[outer.b[P - 1].index], group.elements()
-    b = (outer.b[:P - 1]
-         + tuple(els[row[x.index]] for x in inner.b)
-         + outer.b[P:])
-    colors = outer.colors[:j - 1] + inner.colors + outer.colors[j:]
-    images = ([p if p < P else p + s - 1 for p in outer_images[:j - 1]]
-              + [P + q - 1 for q in inner.sigma.images]
-              + [p if p < P else p + s - 1 for p in outer_images[j:]])
-    return NormalForm._trusted(b, Permutation._trusted(tuple(images)), colors)
+    images = [p + s - 1 if p > P else p for p in outer_images]
+    images[j - 1:j] = [P + q - 1 for q in inner.state[:s]]
+    row = group.mul[outer_b[P - 1]]
+    b = outer_b[:P - 1] + tuple([row[x] for x in inner.state[s:]]) + outer_b[P:]
+    hues = outer.hues[:j - 1] + inner.hues + outer.hues[j:]
+    return NormalForm._trusted(group, tuple(images) + b, hues)
 
 
 # -- concrete syntax -----------------------------------------------------

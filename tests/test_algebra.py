@@ -198,9 +198,12 @@ def test_validation_rejects_malformed_data():
         with pytest.raises(AlgebraError):
             solve_coherence(C2, modulus=modulus)
     payload = builtin_group_example().to_json()
+    # JSON true is a bool, which Python counts as the int 1
+    flagged = dict(payload["values"], **{"alpha:0,0,0": True})
     for bad in ([payload], {"group": "C2"},
                 {"group": "C2", "values": payload["values"]},
-                {"group": "C2", "modulus": 2, "values": [1, 2]}):
+                {"group": "C2", "modulus": 2, "values": [1, 2]},
+                dict(payload, modulus=True), dict(payload, values=flagged)):
         with pytest.raises(AlgebraError):
             CrossedAlgebraData.from_json(C2, bad)
 

@@ -255,8 +255,11 @@ def test_coherence_nonpositive_modulus_is_usage_error(capsys):
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("payload", [[1, 2], {"group": "C2"}],
-                         ids=["list", "no-values"])
+@pytest.mark.parametrize("payload", [
+    [1, 2], {"group": "C2"},
+    # JSON true must not pass for the integer 1
+    dict(builtin_group_example().to_json(), modulus=True)],
+    ids=["list", "no-values", "bool-modulus"])
 def test_coherence_malformed_data_is_usage_error(capsys, tmp_path, payload):
     path = tmp_path / "data.json"
     path.write_text(json.dumps(payload))

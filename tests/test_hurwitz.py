@@ -16,6 +16,7 @@ from gbraids.groups import GroupMismatchError, make_group
 from gbraids.hurwitz import (
     ColorSignature,
     DecoratedTuple,
+    HurwitzError,
     bare_space,
     boundary_colors,
     braid_act,
@@ -33,6 +34,7 @@ from gbraids.hurwitz import (
     pi0_component,
     pi0_hurwitz_space,
 )
+from gbraids.trees import compose_normal, identity_normal_form
 
 
 # -- an independent orbit search working on raw index tuples -------------
@@ -321,6 +323,29 @@ def test_orbits_are_closed_under_both_signs_of_every_generator():
                 assert hurwitz_generator(y, -j) in points
 
 
+def test_only_the_public_constructor_runs_the_checks(monkeypatch):
+    """bench/spans.py counts checked builds by wrapping the class-level
+    ``__post_init__``; the index-level producers must not reach it."""
+    calls = []
+    checks = DecoratedTuple.__post_init__
+
+    def counting(self, *args):
+        calls.append(args)
+        return checks(self, *args)
+
+    monkeypatch.setattr(DecoratedTuple, "__post_init__", counting)
+    s3 = make_group("S3")
+    x = _random_colored(s3, 3, random.Random(61))
+    assert len(calls) == 1
+    calls.clear()
+    hurwitz_generator(x, 1)
+    hurwitz_generator(x, -2)
+    partition(component_objects(x.colors, boundary_colors(x).output))
+    partition(bare_space(s3, 2))
+    compose_normal(x, 2, identity_normal_form(x.colors[1]))
+    assert calls == []
+
+
 def test_partition_sorts_orders_and_covers():
     s3 = make_group("S3")
     colors = tuple(s3.element(i) for i in (2, 5, 1))
@@ -346,6 +371,16 @@ def test_partition_edge_cases():
                    bare_space(s3, 0), bare_space(s3, 1)):
         assert points
         assert partition(points) == [(x,) for x in points]
+    # the size-0 points: equal to their checked builds, and without boundary
+    empty_colored, = component_objects((), s3.identity)
+    empty_bare, = bare_space(s3, 0)
+    assert empty_colored == DecoratedTuple((), Permutation(()), ())
+    assert empty_bare == DecoratedTuple(())
+    for x in (empty_colored, empty_bare):
+        with pytest.raises(HurwitzError, match="empty point"):
+            boundary_colors(x)
+    with pytest.raises(HurwitzError, match="empty point"):
+        color_condition(Permutation(()), (), ())
 
 
 def test_color_condition_matches_spec_example():

@@ -3,6 +3,8 @@
 These are the invariants the rest of the suite relies on, restated as
 properties over generated inputs rather than enumerated ones.
 """
+import itertools
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -11,9 +13,11 @@ from gbraids.braids import (BraidWord, Permutation, all_permutations,
                             cable_compose, cable_permutation, braids_equal,
                             normal_form, underlying_permutation)
 from gbraids.groups import make_group
-from gbraids.hurwitz import (DecoratedTuple, boundary_colors, braid_act,
-                             color_condition, component_objects,
-                             hurwitz_generator)
+from gbraids.hurwitz import (DecoratedTuple, bare_space, boundary_colors,
+                             braid_act, color_condition, component_objects,
+                             conjugate_act, hurwitz_generator, orbit,
+                             partition)
+from gbraids.operad import all_operations, sigma_action
 from gbraids.trees import compose_normal, denormalize, normalize, output_color, random_tree
 
 GROUP_SPECS = ("C2", "C3", "C4", "S3", "D4")
@@ -149,13 +153,14 @@ def test_splice_associativity(x, data):
     assert nested == flat
 
 
-def _same_as_checked_build(y, component):
+def _same_as_checked_build(y, component=None):
     """y equals, and hashes like, its rebuild through the checked
-    constructors, and is found in its component by hash."""
-    z = DecoratedTuple(y.b, Permutation(y.sigma.images), y.colors)
+    constructors, and is found by hash in its component when one is given."""
+    sigma = None if y.sigma is None else Permutation(y.sigma.images)
+    z = DecoratedTuple(y.b, sigma, y.colors)
     assert y == z and z == y
     assert hash(y) == hash(z)
-    assert y in component
+    assert component is None or y in component
 
 
 @given(st.sampled_from(("S3", "D4")), st.integers(1, 4), st.data())
@@ -179,6 +184,23 @@ def test_checked_and_trusted_builds_are_the_same_value(spec, r, data):
     for j in range(1, r):
         for letter in (j, -j):
             _same_as_checked_build(hurwitz_generator(x, letter), points)
+    w = data.draw(braid_words(min_strands=r, max_strands=r))
+    _same_as_checked_build(braid_act(w, x), points)
+    for y in orbit(x):
+        _same_as_checked_build(y, points)
+    h = data.draw(st.sampled_from(els))
+    _same_as_checked_build(conjugate_act(h, x))
+    bare = bare_space(group, min(r, 2))
+    for y in bare:
+        _same_as_checked_build(y, bare)
+        _same_as_checked_build(conjugate_act(h, y), bare)
+    for o in partition(bare):
+        for y in o:
+            _same_as_checked_build(y, bare)
+    rho = data.draw(st.sampled_from(tuple(all_permutations(r))))
+    _same_as_checked_build(sigma_action(x, rho))
+    for y in itertools.islice(all_operations(group, min(r, 2)), 0, None, 97):
+        _same_as_checked_build(y)
     nf = normalize(random_tree(group, r, data.draw(st.randoms())))
     _same_as_checked_build(nf, component(nf))
     # an inner point whose output is the outer color at slot j, so that the
