@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 from .groups import FiniteGroup, GroupElement
 from .operad import CapExceeded
-from .relations import (GENERATORS, MorphismWord, apply_generator,
-                        build_source, relation_assignments, relation_entries,
-                        tally)
+from .relations import (GENERATORS, CompiledRelation, MorphismWord,
+                        apply_generator, relation_assignments,
+                        relation_entries, relation_report)
 from .trees import GTree, output_color, subtree_at, validate
 
 
@@ -176,10 +176,7 @@ def evaluate_morphism(data: CrossedAlgebraData, source: GTree,
                       word: MorphismWord) -> int:
     """The scalar of a structural word, as an exponent mod ``modulus``."""
     _, terms = morphism_variables(source, word, data.group)
-    total = 0
-    for (gen, key), sign in terms:
-        total += sign * data.scalar(gen, key)
-    return total % data.modulus
+    return sum(sign * data.scalar(*var) for var, sign in terms) % data.modulus
 
 
 # -- coherence -----------------------------------------------------------
@@ -195,17 +192,14 @@ def coherence_equations(group: FiniteGroup, relation_ids=None):
     seen = set()
     equations = []
     for entry in relation_entries(relation_ids):
-        lhs = MorphismWord.from_json(entry["lhs"])
-        rhs = MorphismWord.from_json(entry["rhs"])
+        compiled = CompiledRelation(group, entry)
         for assignment in relation_assignments(group, entry):
-            source = build_source(entry, group, assignment)
-            _, left = morphism_variables(source, lhs, group)
-            _, right = morphism_variables(source, rhs, group)
+            source = compiled.source(assignment)
+            _, left = morphism_variables(source, compiled.lhs, group)
+            _, right = morphism_variables(source, compiled.rhs, group)
             coeffs: dict = {}
-            for var, sign in left:
+            for var, sign in left + [(var, -sign) for var, sign in right]:
                 coeffs[var] = coeffs.get(var, 0) + sign
-            for var, sign in right:
-                coeffs[var] = coeffs.get(var, 0) - sign
             coeffs = {v: c for v, c in coeffs.items() if c != 0}
             if not coeffs:
                 continue
@@ -218,12 +212,11 @@ def coherence_equations(group: FiniteGroup, relation_ids=None):
 
 
 def _coherence_outcomes(data: CrossedAlgebraData, entry: dict):
-    lhs = MorphismWord.from_json(entry["lhs"])
-    rhs = MorphismWord.from_json(entry["rhs"])
+    compiled = CompiledRelation(data.group, entry)
     for assignment in relation_assignments(data.group, entry):
-        source = build_source(entry, data.group, assignment)
-        left = evaluate_morphism(data, source, lhs)
-        right = evaluate_morphism(data, source, rhs)
+        source = compiled.source(assignment)
+        left = evaluate_morphism(data, source, compiled.lhs)
+        right = evaluate_morphism(data, source, compiled.rhs)
         yield None if left == right else {
             "assignment": {k: v.index for k, v in assignment.items()},
             "lhs": left,
@@ -234,18 +227,10 @@ def _coherence_outcomes(data: CrossedAlgebraData, entry: dict):
 def check_coherence(data: CrossedAlgebraData, relation_ids=None,
                     max_reported: int = 20) -> dict:
     """Evaluate every relation instance on both sides and compare."""
-    relations = []
-    total_failures = 0
-    for entry in relation_entries(relation_ids):
-        checked, failure_count, failures = tally(
-            _coherence_outcomes(data, entry), max_reported)
-        total_failures += failure_count
-        relations.append({
-            "relation": entry["id"],
-            "assignments_checked": checked,
-            "failure_count": failure_count,
-            "failures": failures,
-        })
+    relations = [relation_report(entry, _coherence_outcomes(data, entry),
+                                 max_reported)
+                 for entry in relation_entries(relation_ids)]
+    total_failures = sum(r["failure_count"] for r in relations)
     return {
         "group": data.group.label,
         "modulus": data.modulus,

@@ -30,6 +30,7 @@ import sys
 from pathlib import Path
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Optional
 
 from .algebra import CrossedAlgebraData, check_coherence, solve_coherence
@@ -167,16 +168,13 @@ def _run_check(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]:
     bounds = Bounds(*config.bounds)
     # unknown names are usage errors, raised early
     entries = relation_entries(config.relations)
-    ids = [entry["id"] for entry in entries]
+    work = (repeat(config.group), [entry["id"] for entry in entries],
+            repeat(config.mutate), repeat(bounds.cap))
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(_relation_worker, config.group, rid,
-                                   config.mutate, bounds.cap)
-                       for rid in ids]
-            reports = [f.result() for f in futures]
+            reports = list(pool.map(_relation_worker, *work))
     else:
-        reports = [_relation_worker(config.group, rid, config.mutate,
-                                    bounds.cap) for rid in ids]
+        reports = list(map(_relation_worker, *work))
     relation_failures = sum(r["failure_count"] for r in reports)
     capped = any(
         report["assignments_checked"] < group.order ** len(entry["symbols"])

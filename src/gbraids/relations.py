@@ -30,9 +30,17 @@ to the free symbols.  ``mutate="braiding"`` reinterprets c on the left-hand
 side only as the *other* braiding — the rewrite T(A,B) -> T(B, L[|B|^-1]A)
 with the inverse block crossing — which is again internally consistent but
 must break every relation instance that braids something nontrivial.
+
+A ``CompiledRelation`` parses an entry's source once per group, into a
+template whose symbols stand in for elements, reads both words once and
+compares the two braids once, as a side's braid depends only on the shape.
+Each instance still applies every letter, compares the target trees and
+checks both braids against the normal forms, normalizing the source once.
 """
 from __future__ import annotations
 
+import copy
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -49,6 +57,7 @@ from .trees import (
     Tensor,
     TreeError,
     UnitLeaf,
+    _map_leaves,
     leaf_count,
     leaf_offset,
     normalize,
@@ -85,9 +94,6 @@ class MorphismWord:
     def from_json(cls, items) -> "MorphismWord":
         return cls(tuple(MorphismLetter(g, tuple(p), bool(i))
                          for g, p, i in items))
-
-    def to_json(self):
-        return [[l.gen, list(l.path), l.inverse] for l in self.letters]
 
 
 def _expect(condition: bool, letter: MorphismLetter, found: GTree):
@@ -186,15 +192,10 @@ def _c_braid_letters(tree: GTree, letter: MorphismLetter,
     sub = subtree_at(tree, letter.path)
     _expect(isinstance(sub, Tensor), letter, sub)
     m, n = leaf_count(sub.left), leaf_count(sub.right)
-    start = offset + 1
-    if not flip_braiding:
-        if not letter.inverse:
-            return block_transposition(total, start, m, n).letters
-        # undoing a crossing that carried the (right, then left) blocks over
-        return block_transposition(total, start, n, m).inverse().letters
-    if not letter.inverse:
-        return block_transposition(total, start, n, m).inverse().letters
-    return block_transposition(total, start, m, n).letters
+    if letter.inverse == flip_braiding:
+        return block_transposition(total, offset + 1, m, n).letters
+    # undoing the crossing of the (right, then left) blocks; also flipped c
+    return block_transposition(total, offset + 1, n, m).inverse().letters
 
 
 @dataclass(frozen=True)
@@ -206,49 +207,67 @@ class InterpretedMorphism:
     target_nf: DecoratedTuple
 
 
-def interpret_morphism(source: GTree, word: MorphismWord,
-                       group: Optional[FiniteGroup] = None,
-                       mutate: Optional[str] = None) -> InterpretedMorphism:
+def _side(source: GTree, word: MorphismWord, group: FiniteGroup,
+          mutate: Optional[str], braid: Optional[BraidWord] = None,
+          source_nf: Optional[DecoratedTuple] = None) -> InterpretedMorphism:
+    """Apply the letters, then check that the braid carries the source
+    normal form to the target's; a given braid or source_nf is reused."""
     if mutate not in (None, "braiding"):
         raise RelationError(f"unknown mutation {mutate!r}")
     flip = mutate == "braiding"
-    g = tree_group(source) or group
-    if g is None:
-        raise RelationError("cannot interpret over an undetermined group")
-    current = source
-    written: list[int] = []
-    r = leaf_count(source)
+    current, written = source, []
     for letter in word.letters:
-        if letter.gen == "c":
-            written = list(_c_braid_letters(current, letter, flip)) + written
-        current = apply_generator(current, letter, g, flip)
-    braid = BraidWord(r, tuple(written))
-    source_nf = normalize(source, g)
-    target_nf = normalize(current, g)
-    if r > 0 and braid_act(braid, source_nf) != target_nf:
+        if braid is None and letter.gen == "c":
+            written[:0] = _c_braid_letters(current, letter, flip)
+        current = apply_generator(current, letter, group, flip)
+    if braid is None:
+        braid = BraidWord(leaf_count(source), tuple(written))
+    if source_nf is None:
+        source_nf = normalize(source, group)
+    target_nf = normalize(current, group)
+    if braid.strands > 0 and braid_act(braid, source_nf) != target_nf:
         raise RelationError(
             "internal inconsistency: the accumulated braid does not carry "
             "the source normal form to the target normal form")
     return InterpretedMorphism(source, current, braid, source_nf, target_nf)
 
 
+def interpret_morphism(source: GTree, word: MorphismWord,
+                       group: Optional[FiniteGroup] = None,
+                       mutate: Optional[str] = None) -> InterpretedMorphism:
+    g = tree_group(source) or group
+    if g is None:
+        raise RelationError("cannot interpret over an undetermined group")
+    return _side(source, word, g, mutate)
+
+
 # -- the relation table --------------------------------------------------
 
 
-def load_relation_table() -> list[dict]:
+@functools.cache
+def _table() -> tuple[list[dict], dict[str, dict]]:
+    """The table, read once per process, and its entries by id and alias;
+    a name shared by several entries names the first of them."""
     text = resources.files("gbraids").joinpath("relation_table.json").read_text()
-    return json.loads(text)
+    entries, index = json.loads(text), {}
+    for entry in entries:
+        for name in (entry["id"], *entry.get("also_known_as", ())):
+            index.setdefault(name, entry)
+    return entries, index
 
 
-RELATION_IDS = tuple(entry["id"] for entry in load_relation_table())
+def load_relation_table() -> list[dict]:
+    """The table in its order, copied so that no caller changes it."""
+    return copy.deepcopy(_table()[0])
+
+
+RELATION_IDS = tuple(entry["id"] for entry in _table()[0])
 
 
 def get_relation(relation_id: str) -> dict:
-    for entry in load_relation_table():
-        if entry["id"] == relation_id or \
-                relation_id in entry.get("also_known_as", ()):
-            return entry
-    raise RelationError(f"no relation named {relation_id!r}")
+    if relation_id not in _table()[1]:
+        raise RelationError(f"no relation named {relation_id!r}")
+    return copy.deepcopy(_table()[1][relation_id])
 
 
 def relation_entries(relation_ids=None) -> list[dict]:
@@ -276,33 +295,11 @@ def tally(outcomes, max_reported: int) -> tuple[int, int, list]:
     return instances, failure_count, failures
 
 
-def build_source(relation: dict, group: FiniteGroup,
-                 assignment: dict[str, GroupElement]) -> GTree:
-    symbols = dict(assignment)
-    symbols["e"] = group.identity
-    return parse_tree(relation["source"], group, symbols)
-
-
-def check_relation(group: FiniteGroup, relation: dict,
-                   assignment: dict[str, GroupElement],
-                   mutate: Optional[str] = None) -> Optional[str]:
-    """None when the two sides agree; otherwise a short reason."""
-    source = build_source(relation, group, assignment)
-    lhs = MorphismWord.from_json(relation["lhs"])
-    rhs = MorphismWord.from_json(relation["rhs"])
-    try:
-        left = interpret_morphism(source, lhs, group, mutate=mutate)
-    except (RelationError, TreeError) as exc:
-        return f"left side: {exc}"
-    try:
-        right = interpret_morphism(source, rhs, group)
-    except (RelationError, TreeError) as exc:
-        return f"right side: {exc}"
-    if left.target != right.target:
-        return "targets differ"
-    if not braids_equal(left.braid, right.braid):
-        return f"braids differ: {left.braid} vs {right.braid}"
-    return None
+def relation_report(entry: dict, outcomes, max_reported: int) -> dict:
+    """The tally of one entry's instance outcomes, as a JSON-ready report."""
+    checked, failure_count, failures = tally(outcomes, max_reported)
+    return {"relation": entry["id"], "assignments_checked": checked,
+            "failure_count": failure_count, "failures": failures}
 
 
 def relation_assignments(group: FiniteGroup, relation: dict):
@@ -311,13 +308,65 @@ def relation_assignments(group: FiniteGroup, relation: dict):
         yield dict(zip(names, values))
 
 
-def _relation_outcomes(group, entry, assignments, mutate):
-    for assignment in assignments:
-        reason = check_relation(group, entry, assignment, mutate=mutate)
-        yield None if reason is None else {
-            "assignment": {k: v.index for k, v in assignment.items()},
-            "reason": reason,
-        }
+class CompiledRelation:
+    """One table entry over one group: the template, whose symbol colors and
+    labels are the symbol names, both words, and each side's braid, fixed
+    by the first instance at which the side applies."""
+
+    def __init__(self, group: FiniteGroup, relation: dict,
+                 mutate: Optional[str] = None):
+        self.group, self.relation, self.mutate = group, relation, mutate
+        names = {name: name for name in relation["symbols"]}
+        self.template = parse_tree(relation["source"], group,
+                                   dict(names, e=group.identity))
+        self.lhs = MorphismWord.from_json(relation["lhs"])
+        self.rhs = MorphismWord.from_json(relation["rhs"])
+        self.braids: list[Optional[BraidWord]] = [None, None]
+        self.braids_equal: Optional[bool] = None
+
+    def source(self, assignment: dict[str, GroupElement]) -> GTree:
+        """The template with each symbol name replaced by its element."""
+        def element(x):
+            return assignment[x] if type(x) is str else x
+        return _map_leaves(
+            self.template, lambda leaf: InputLeaf(leaf.slot, element(leaf.color)),
+            element)
+
+    def check(self, assignment: dict[str, GroupElement]) -> Optional[str]:
+        """None when the two sides agree; otherwise a short reason."""
+        source, source_nf, targets = self.source(assignment), None, []
+        sides = (("left", self.lhs, self.mutate), ("right", self.rhs, None))
+        for i, (side, word, mutate) in enumerate(sides):
+            try:
+                out = _side(source, word, self.group, mutate, self.braids[i],
+                            source_nf)
+            except (RelationError, TreeError) as exc:
+                return f"{side} side: {exc}"
+            self.braids[i], source_nf = out.braid, out.source_nf
+            targets.append(out.target)
+        if targets[0] != targets[1]:
+            return "targets differ"
+        if self.braids_equal is None:
+            self.braids_equal = braids_equal(*self.braids)
+        left, right = self.braids
+        return None if self.braids_equal else f"braids differ: {left} vs {right}"
+
+    def outcomes(self, cap: Optional[int] = None):
+        """None or a failure per assignment, for the first ``cap`` of them."""
+        assignments = relation_assignments(self.group, self.relation)
+        for assignment in itertools.islice(assignments, cap):
+            reason = self.check(assignment)
+            yield None if reason is None else {
+                "assignment": {k: v.index for k, v in assignment.items()},
+                "reason": reason,
+            }
+
+
+def check_relation(group: FiniteGroup, relation: dict,
+                   assignment: dict[str, GroupElement],
+                   mutate: Optional[str] = None) -> Optional[str]:
+    """None when the two sides agree; otherwise a short reason."""
+    return CompiledRelation(group, relation, mutate).check(assignment)
 
 
 def check_all_relations(group: FiniteGroup,
@@ -327,25 +376,12 @@ def check_all_relations(group: FiniteGroup,
                         max_reported: int = 20) -> dict:
     """Verify every table relation for every symbol assignment over the
     group, in deterministic order.  Returns a JSON-ready report."""
-    results = []
-    total_failures = 0
-    for entry in relation_entries(relation_ids):
-        assignments = relation_assignments(group, entry)
-        if assignment_cap is not None:
-            assignments = itertools.islice(assignments, assignment_cap)
-        checked, failure_count, failures = tally(
-            _relation_outcomes(group, entry, assignments, mutate),
-            max_reported)
-        total_failures += failure_count
-        results.append({
-            "relation": entry["id"],
-            "assignments_checked": checked,
-            "failure_count": failure_count,
-            "failures": failures,
-        })
+    results = [relation_report(
+        entry, CompiledRelation(group, entry, mutate).outcomes(assignment_cap),
+        max_reported) for entry in relation_entries(relation_ids)]
     return {
         "group": group.label,
         "mutate": mutate,
         "relations": results,
-        "total_failures": total_failures,
+        "total_failures": sum(r["failure_count"] for r in results),
     }

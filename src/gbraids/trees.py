@@ -256,9 +256,10 @@ def identity_normal_form(color: GroupElement) -> NormalForm:
     return NormalForm._trusted(color.group, (1, 0), (color.index,))  # b = e
 
 
-def _map_leaves(t: GTree, leaf) -> GTree:
-    """``t`` rebuilt with each input leaf x replaced by ``leaf(x)``, walked
-    with an explicit stack; ``done`` holds the finished subtrees."""
+def _map_leaves(t: GTree, leaf, label=lambda h: h) -> GTree:
+    """``t`` rebuilt with each input leaf x replaced by ``leaf(x)`` and each
+    label h by ``label(h)``, walked with an explicit stack; ``done`` holds
+    the finished subtrees."""
     done: list = []
     stack = [(t, False)]
     while stack:
@@ -272,7 +273,7 @@ def _map_leaves(t: GTree, leaf) -> GTree:
                           (node.left, False))
         elif isinstance(node, LabelEdge):
             if children_done:
-                done.append(LabelEdge(node.label, done.pop()))
+                done.append(LabelEdge(label(node.label), done.pop()))
             else:
                 stack += ((node, True), (node.child, False))
         elif isinstance(node, InputLeaf):

@@ -8,7 +8,8 @@ from gbraids.algebra import (AlgebraError, CrossedAlgebraData,
 from gbraids.groups import make_group
 from gbraids.operad import CapExceeded
 from gbraids.relations import (MorphismLetter, MorphismWord, RelationError,
-                               get_relation)
+                               get_relation, load_relation_table,
+                               relation_assignments)
 from gbraids.trees import TreeError, parse_tree
 
 C2 = make_group("C2")
@@ -97,6 +98,32 @@ def test_solution_count_matches_elimination_oracle():
     for vec in vectors:
         for eq in equations:
             assert sum(c * vec[index[v]] for v, c in eq.items()) % 2 == 0
+
+
+def _fresh_equations(group):
+    """coherence_equations rebuilt with a parse per instance: the same
+    cancellation, and duplicates kept once in first-seen order."""
+    seen, equations = set(), []
+    for entry in load_relation_table():
+        for assignment in relation_assignments(group, entry):
+            source = parse_tree(entry["source"], group,
+                                dict(assignment, e=group.identity))
+            coeffs = {}
+            for key, sign in (("lhs", 1), ("rhs", -1)):
+                word = MorphismWord.from_json(entry[key])
+                for var, s in morphism_variables(source, word, group)[1]:
+                    coeffs[var] = coeffs.get(var, 0) + sign * s
+            coeffs = {v: c for v, c in coeffs.items() if c}
+            fingerprint = frozenset(coeffs.items())
+            if coeffs and fingerprint not in seen:
+                seen.add(fingerprint)
+                equations.append(coeffs)
+    return equations
+
+
+def test_coherence_equations_match_a_fresh_parse():
+    assert coherence_equations(S3) == _fresh_equations(S3)
+    assert len(coherence_equations(C2)) == 89
 
 
 def test_solution_set_is_a_group_under_pointwise_sum():

@@ -4,22 +4,31 @@ import pytest
 from gbraids.groups import make_group
 from gbraids.relations import (
     RELATION_IDS,
+    CompiledRelation,
     MorphismLetter,
     MorphismWord,
     RelationError,
     apply_generator,
-    build_source,
     check_all_relations,
     check_relation,
     get_relation,
     interpret_morphism,
     load_relation_table,
+    relation_assignments,
     tally,
 )
-from gbraids.trees import InputLeaf, LabelEdge, Tensor, format_tree, parse_tree
+from gbraids.braids import braids_equal
+from gbraids.trees import (InputLeaf, LabelEdge, Tensor, TreeError,
+                           format_tree, parse_tree)
 
 S3 = make_group("S3")
 C2 = make_group("C2")
+
+
+def build_source(entry, group, assignment):
+    """The source tree of one instance, parsed from the table's text."""
+    return parse_tree(entry["source"], group,
+                      dict(assignment, e=group.identity))
 
 
 def test_table_inventory():
@@ -31,6 +40,17 @@ def test_table_inventory():
                 if "G10" in e.get("also_known_as", ())]
     assert sorted(hexagons) == ["hexagon-left", "hexagon-right"]
     assert get_relation("G10")["id"] in hexagons
+
+
+def test_table_copies_do_not_share_state():
+    get_relation("G9")["symbols"].append("z")
+    load_relation_table()[0]["id"] = "changed"
+    assert get_relation("G9")["symbols"] == ["h", "x1", "x2"]
+    assert load_relation_table()[0]["id"] == "pentagon"
+    with pytest.raises(RelationError):
+        get_relation("nonesuch")
+    # an alias names the first entry, in table order, that carries it
+    assert get_relation("G10")["id"] == "hexagon-right"
 
 
 def test_tally_counts_and_keeps_the_first_failures():
@@ -201,3 +221,82 @@ def test_report_shape_is_json_ready():
     text = json.dumps(report, sort_keys=True)
     assert "G5" in text and "G6" in text
     assert report["group"] == C2.label
+
+
+def _fresh_outcome(group, entry, assignment, mutate):
+    """The outcome of one instance along a path that compiles nothing: a
+    parse of the source text, both words read from JSON, each side
+    interpreted on its own, and the braids compared for this instance.
+    Returns the outcome and each side's braid (None where it fails)."""
+    source = build_source(entry, group, assignment)
+    sides = []
+    for side, key, side_mutate in (("left", "lhs", mutate),
+                                   ("right", "rhs", None)):
+        word = MorphismWord.from_json(entry[key])
+        try:
+            sides.append(interpret_morphism(source, word, group,
+                                            mutate=side_mutate))
+        except (RelationError, TreeError) as exc:
+            sides.append(f"{side} side: {exc}")
+    braids = [None if isinstance(s, str) else s.braid for s in sides]
+    left, right = sides
+    if isinstance(left, str) or isinstance(right, str):
+        return (left if isinstance(left, str) else right), braids
+    if left.target != right.target:
+        return "targets differ", braids
+    if not braids_equal(left.braid, right.braid):
+        return f"braids differ: {left.braid} vs {right.braid}", braids
+    return None, braids
+
+
+# Not a relation: braiding twice and dropping the two labels returns to the
+# source only when both colors are the identity, and then the braids differ.
+# It reaches the failures the table never does: value-dependent errors on
+# some instances, and "braids differ" on the others.
+DOUBLE_BRAIDING = {
+    "id": "double-braiding", "source": "T(leaf:1:x1,leaf:2:x2)",
+    "symbols": ["x1", "x2"], "lhs": [],
+    "rhs": [["c", [], False], ["c", [], False],
+            ["delta", [0], False], ["delta", [1], False]],
+}
+
+
+def _compiled_outcomes(group, entry, mutate):
+    """The compiled checker's outcome per assignment, each with the fresh
+    path's outcome and side braids."""
+    compiled = CompiledRelation(group, entry, mutate)
+    for assignment in relation_assignments(group, entry):
+        yield (assignment, compiled.check(assignment),
+               *_fresh_outcome(group, entry, assignment, mutate))
+
+
+@pytest.mark.parametrize("mutate", [None, "braiding"])
+@pytest.mark.parametrize("spec", ["C2", "C3", "S3"])
+def test_compiled_checker_matches_a_fresh_parse(spec, mutate):
+    group = make_group(spec)
+    report = check_all_relations(group, mutate=mutate,
+                                 max_reported=group.order ** 4)
+    table = load_relation_table()
+    reasons = set()
+    for entry in table + [DOUBLE_BRAIDING]:
+        failures = []
+        braids = ([], [])
+        for assignment, got, expected, side_braids in _compiled_outcomes(
+                group, entry, mutate):
+            assert got == expected, (entry["id"], assignment)
+            if expected is not None:
+                reasons.add(expected.split(":")[0])
+                failures.append({
+                    "assignment": {k: v.index for k, v in assignment.items()},
+                    "reason": expected})
+            for seen, braid in zip(braids, side_braids):
+                if braid is not None:
+                    seen.append(braid)
+        if entry in table:
+            result = report["relations"][table.index(entry)]
+            assert result["failures"] == failures
+        # what the compiled form relies on: a side's braid is one word for
+        # every assignment at which the side applies
+        for seen in braids:
+            assert len(set(seen)) <= 1, entry["id"]
+    assert "braids differ" in reasons and "right side" in reasons
