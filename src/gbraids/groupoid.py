@@ -1,52 +1,40 @@
 """Fibered groupoids over a braid-action base, and their flattening.
 
-A *presentation* here is a groupoid given by computable data: a finite object
-set, a finite generating set of arrows, and total functions for identity and
-inverse (the fields ``identity`` and ``inverse``) and for composition of
-composable arrows (``compose``, which checks that the arrows meet before it
-calls ``compose_fn``).  Each presentation groups its generators by source
-once, when it is built (``by_source``, in generator order); the flattening,
-the axiom check and the comparison read that index.  Arrow labels are
-required to be canonical (equal arrows carry equal labels), which makes
-equality of morphisms decidable; for braid-word labels this is supplied by
-the Garside normal form, behind one memo per presentation, since its
-compositions meet the same few words again and again.
+A *presentation* is a groupoid given by computable data: a finite object set,
+generating arrows indexed by source once (``by_source``), and total functions
+``identity``, ``inverse`` and ``compose_fn`` (called by ``compose`` once the
+arrows meet).  Labels are canonical, so equality of morphisms is decidable.
 
-``grothendieck`` flattens a base groupoid acting on a family of fiber
-groupoids into a single groupoid: objects are pairs ``(y, x)`` with x in the
-fiber over y, an arrow ``(g, f): (y0, x0) -> (y1, x1)`` has ``g: y0 -> y1``
-in the base and ``f: x0 -> g^{-1}.x1`` in the fiber over y0, and composition
-is
+``grothendieck`` flattens a base groupoid acting on fiber groupoids: objects
+are pairs ``(y, x)`` with x in the fiber over y, an arrow ``(g, f): (y0, x0)
+-> (y1, x1)`` has ``g: y0 -> y1`` in the base and ``f: x0 -> g^{-1}.x1`` in
+the fiber over y0, and ``(g1, f1) o (g0, f0) = (g1 g0, (g0^{-1}.f1) o f0)``.
 
-    ``(g1, f1) o (g0, f0)  =  (g1 g0, (g0^{-1}.f1) o f0)``.
-
-The stock example: base objects are the permutations of r positions with
-arrows labeled by canonical braid words acting by left multiplication; each
-fiber is ``G^r`` with arrows labeled by group elements acting by simultaneous
-conjugation; base arrows act on fiber objects by the bare decorated-tuple
-move and leave fiber labels alone.  Because the base action does not touch
-labels, the flattened composition collapses to the componentwise rule
-``(c1 c0, h1 h0)``, realized by ``hurwitz_direct_presentation`` and verified
-generator-by-generator in ``compare_presentations``.
+The Hurwitz instance runs on index states: one-line permutation images acted
+on by canonical braid words, and ``bare_space`` states of ``G^r`` acted on by
+conjugation.  Base arrows move states by the bare Hurwitz move, memoized per
+(word, state), and leave fiber labels alone, so the flattening agrees with
+the componentwise rule ``(c1 c0, h1 h0)`` of ``hurwitz_direct_presentation``.
+Word products and inverses are memoized per letters, over one ``normal_form``
+memo per presentation.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .braids import BraidWord, Permutation, all_permutations, normal_form
+from .braids import BraidWord, Permutation, normal_form
 from .groups import FiniteGroup
-from .hurwitz import DecoratedTuple, bare_space, braid_act, conjugate_act
+from .hurwitz import _move
 
 
 class GroupoidError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     source: object
     target: object
     label: object
@@ -177,35 +165,45 @@ def grothendieck(system: FiberedSystem) -> FiniteGroupoidPresentation:
 # -- the braid-on-tuples instance ----------------------------------------
 
 
+def _braid_side(r: int):
+    """Permutation images; the canonical product and inverse of letter
+    tuples, memoized over one ``normal_form`` memo; moves (j, t_j, s_j)."""
+    canonical = functools.cache(normal_form)
+    times = functools.cache(
+        lambda second, first: canonical(BraidWord._trusted(r, second + first)))
+    invert = functools.cache(
+        lambda letters: canonical(BraidWord._trusted(r, letters).inverse()))
+    moves = [(j, Permutation.transposition(j, r).images,
+              canonical(BraidWord(r, (j,)))) for j in range(1, r)]
+    return tuple(itertools.permutations(range(1, r + 1))), times, invert, moves
+
+
 def permutation_base(r: int) -> FiniteGroupoidPresentation:
     """Permutations of r positions; arrows are canonical braid words acting
     by left multiplication of the underlying permutation."""
-    objects = tuple(all_permutations(r))
-    canonical = functools.cache(normal_form)  # one memo per presentation
+    objects, times, inverse_word, moves = _braid_side(r)
 
     def compose(second: Arrow, first: Arrow) -> Arrow:
         return Arrow(first.source, second.target,
-                     canonical(second.label * first.label))
+                     times(second.label.letters, first.label.letters))
 
     def identity(sigma) -> Arrow:
         return Arrow(sigma, sigma, BraidWord.identity(r))
 
     def inverse(arrow: Arrow) -> Arrow:
         return Arrow(arrow.target, arrow.source,
-                     canonical(arrow.label.inverse()))
+                     inverse_word(arrow.label.letters))
 
-    moves = [(Permutation.transposition(j, r), canonical(BraidWord(r, (j,))))
-             for j in range(1, r)]
-    generators = tuple(Arrow(sigma, t @ sigma, word)
-                       for sigma in objects for t, word in moves)
+    generators = tuple(Arrow(y, tuple([t[v - 1] for v in y]), word)
+                       for y in objects for _, t, word in moves)
     return FiniteGroupoidPresentation(objects, generators,
                                       compose, identity, inverse)
 
 
 def conjugation_fiber(group: FiniteGroup, r: int) -> FiniteGroupoidPresentation:
-    """Tuples in ``G^r`` with arrows labeled by group elements acting by
-    simultaneous conjugation."""
-    objects = bare_space(group, r)
+    """The states of ``G^r``, in ``bare_space`` order, with arrows labeled by
+    group elements acting by simultaneous conjugation."""
+    objects = tuple(itertools.product(range(group.order), repeat=r))
 
     def compose(second: Arrow, first: Arrow) -> Arrow:
         return Arrow(first.source, second.target,
@@ -217,67 +215,66 @@ def conjugation_fiber(group: FiniteGroup, r: int) -> FiniteGroupoidPresentation:
     def inverse(arrow: Arrow) -> Arrow:
         return Arrow(arrow.target, arrow.source, arrow.label.inverse())
 
-    generators = tuple(Arrow(x, conjugate_act(h, x), h)
-                       for x in objects for h in group)
+    generators = tuple(Arrow(x, tuple([group.conj[h.index][v] for v in x]),
+                             h) for x in objects for h in group)
     return FiniteGroupoidPresentation(objects, generators,
                                       compose, identity, inverse)
 
 
 def hurwitz_fibered_system(group: FiniteGroup, r: int) -> FiberedSystem:
-    base = permutation_base(r)
     fiber = conjugation_fiber(group, r)
 
-    def act_object(g: Arrow, x: DecoratedTuple) -> DecoratedTuple:
-        return braid_act(g.label, x)
+    @functools.cache  # one memo per system, keyed by (letters, state)
+    def act(letters: tuple, x: tuple) -> tuple:
+        for l in reversed(letters):  # the rightmost letter acts first
+            x = _move(x, l, group, None)
+        return x
 
     def act_arrow(g: Arrow, f: Arrow) -> Arrow:
-        # the braid direction moves tuples but leaves conjugation labels alone
-        return Arrow(act_object(g, f.source), act_object(g, f.target), f.label)
+        return Arrow(act(g.label.letters, f.source),
+                     act(g.label.letters, f.target), f.label)
 
-    return FiberedSystem(base, lambda y: fiber, act_object, act_arrow)
+    return FiberedSystem(permutation_base(r), lambda y: fiber,
+                         lambda g, x: act(g.label.letters, x), act_arrow)
 
 
 def hurwitz_direct_presentation(group: FiniteGroup, r: int) -> FiniteGroupoidPresentation:
     """The flattened groupoid written down directly: arrows are labeled by a
     canonical braid word and a group element, composed componentwise."""
-    space = bare_space(group, r)
-    objects = tuple((y, x) for y in all_permutations(r) for x in space)
-    canonical = functools.cache(normal_form)  # one memo per presentation
+    perms, times, inverse_word, moves = _braid_side(r)
+    objects = tuple(itertools.product(
+        perms, itertools.product(range(group.order), repeat=r)))
+    unit = BraidWord.identity(r)
 
     def compose(second: Arrow, first: Arrow) -> Arrow:
-        c0, h0 = first.label
-        c1, h1 = second.label
+        (c0, h0), (c1, h1) = first.label, second.label
         return Arrow(first.source, second.target,
-                     (canonical(c1 * c0), h1 * h0))
+                     (times(c1.letters, c0.letters), h1 * h0))
 
     def identity(obj) -> Arrow:
-        return Arrow(obj, obj, (BraidWord.identity(r), group.identity))
+        return Arrow(obj, obj, (unit, group.identity))
 
     def inverse(arrow: Arrow) -> Arrow:
         c, h = arrow.label
         return Arrow(arrow.target, arrow.source,
-                     (canonical(c.inverse()), h.inverse()))
+                     (inverse_word(c.letters), h.inverse()))
 
-    moves = [(Permutation.transposition(j, r), canonical(BraidWord(r, (j,))))
-             for j in range(1, r)]
-    unit = BraidWord.identity(r)
     generators = []
     for obj in objects:
         y, x = obj
-        for t, word in moves:
-            generators.append(Arrow(obj, (t @ y, braid_act(word, x)),
-                                    (word, group.identity)))
-        for h in group:
-            generators.append(Arrow(obj, (y, conjugate_act(h, x)), (unit, h)))
+        generators += [Arrow(obj, (tuple([t[v - 1] for v in y]),
+                                   _move(x, j, group, None)),
+                             (word, group.identity)) for j, t, word in moves]
+        generators += [Arrow(obj, (y, tuple([group.conj[h.index][v]
+                                             for v in x])), (unit, h))
+                       for h in group]
     return FiniteGroupoidPresentation(objects, tuple(generators),
                                       compose, identity, inverse)
 
 
 def flatten_label(arrow: Arrow) -> tuple:
-    """Forget the endpoint bookkeeping of a flattened arrow, keeping the
-    (canonical word, group element) pair."""
-    g, f = arrow.label
-    return (g.label, f.label)
+    """The (canonical word, group element) pair of a flattened arrow."""
+    return arrow.label[0].label, arrow.label[1].label
 
 
 def compare_presentations(flat: FiniteGroupoidPresentation,

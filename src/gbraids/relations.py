@@ -261,7 +261,10 @@ def load_relation_table() -> list[dict]:
     return copy.deepcopy(_table()[0])
 
 
-RELATION_IDS = tuple(entry["id"] for entry in _table()[0])
+def __getattr__(name: str):  # RELATION_IDS, in table order, on first use
+    if name == "RELATION_IDS":
+        return tuple(entry["id"] for entry in _table()[0])
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def get_relation(relation_id: str) -> dict:
@@ -348,8 +351,8 @@ class CompiledRelation:
             return "targets differ"
         if self.braids_equal is None:
             self.braids_equal = braids_equal(*self.braids)
-        left, right = self.braids
-        return None if self.braids_equal else f"braids differ: {left} vs {right}"
+        return None if self.braids_equal else "braids differ: {} vs {}".format(
+            *(str(b) or "e" for b in self.braids))  # e: the empty word
 
     def outcomes(self, cap: Optional[int] = None):
         """None or a failure per assignment, for the first ``cap`` of them."""

@@ -2,10 +2,12 @@
 import pytest
 
 import gbraids.groupoid
-from gbraids.braids import BraidWord
+from gbraids.braids import BraidWord, Permutation
 from gbraids.groupoid import (
     Arrow,
+    FiberedSystem,
     FiniteGroupoidPresentation,
+    GroupoidError,
     check_groupoid_axioms,
     compare_grothendieck_to_direct,
     compare_presentations,
@@ -16,6 +18,7 @@ from gbraids.groupoid import (
     permutation_base,
 )
 from gbraids.groups import make_group
+from gbraids.hurwitz import bare_space, braid_act, conjugate_act
 
 
 def test_flattening_matches_componentwise_rule():
@@ -36,6 +39,71 @@ def test_trivial_base_reduces_to_fiber():
     report = compare_grothendieck_to_direct(make_group("S3"), 1)
     assert report["failures"] == []
     assert report["objects"] == 6
+
+
+@pytest.mark.parametrize("spec, r, counts", [
+    ("C2", 4, (384, 1920, 9600)),
+    ("D4", 2, (128, 1152, 10368)),
+    ("C3", 2, (18, 72, 288)),
+])
+def test_comparison_counts(spec, r, counts):
+    report = compare_grothendieck_to_direct(make_group(spec), r)
+    assert report["failures"] == []
+    assert (report["objects"], report["generators"],
+            report["compositions"]) == counts
+
+
+def _public_target(points, r, source, word, h):
+    """The target of a generator with this word and group element, through
+    the public permutation, braid and conjugation actions on points."""
+    y, x = source
+    sigma, point = Permutation(y), points[x]
+    for letter in reversed(word.letters):
+        sigma = Permutation.transposition(abs(letter), r) @ sigma
+    point = conjugate_act(h, braid_act(word, point))
+    return sigma.images, point.state
+
+
+@pytest.mark.parametrize("spec, r", [("S3", 3), ("C2", 4)])
+def test_generator_targets_match_the_public_actions(spec, r):
+    group = make_group(spec)
+    points = {p.state: p for p in bare_space(group, r)}
+    direct = hurwitz_direct_presentation(group, r)
+    flat = grothendieck(hurwitz_fibered_system(group, r))
+    for a in direct.generators:
+        word, h = a.label
+        assert word.letters == () or h.is_identity()
+        assert a.target == _public_target(points, r, a.source, word, h)
+    for a in flat.generators:
+        g, f = a.label
+        assert a.target == _public_target(points, r, a.source, g.label,
+                                          f.label)
+    assert len(flat.generators) == len(direct.generators)
+
+
+def _caught(system, direct) -> bool:
+    try:
+        report = compare_presentations(grothendieck(system), direct)
+    except GroupoidError:
+        return True
+    return any(f["stage"] == "composition" for f in report["failures"])
+
+
+def test_wrong_fiber_arrow_action_is_caught():
+    group = make_group("S3")
+    good = hurwitz_fibered_system(group, 2)
+    direct = hurwitz_direct_presentation(group, 2)
+    assert not _caught(good, direct)
+
+    def unmoved(g: Arrow, f: Arrow) -> Arrow:
+        return f
+
+    def by_g(g: Arrow, f: Arrow) -> Arrow:
+        return good.act_arrow(good.base.inverse(g), f)
+
+    for act_arrow in (unmoved, by_g):
+        bad = FiberedSystem(good.base, good.fiber, good.act_object, act_arrow)
+        assert _caught(bad, direct), act_arrow.__name__
 
 
 def test_direct_presentation_axioms():

@@ -1,5 +1,12 @@
 """The defining relations hold verbatim; the flipped braiding breaks them."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import gbraids
 
 from gbraids.groups import make_group
 from gbraids.relations import (
@@ -32,6 +39,7 @@ def build_source(entry, group, assignment):
 
 
 def test_table_inventory():
+    assert RELATION_IDS == tuple(e["id"] for e in load_relation_table())
     ids = set(RELATION_IDS)
     assert ids == {"pentagon", "triangle", "hexagon-right", "hexagon-left",
                    "G1", "G2a", "G2b", "G3a", "G3b", "G4", "G5", "G6", "G7",
@@ -245,7 +253,8 @@ def _fresh_outcome(group, entry, assignment, mutate):
     if left.target != right.target:
         return "targets differ", braids
     if not braids_equal(left.braid, right.braid):
-        return f"braids differ: {left.braid} vs {right.braid}", braids
+        words = [str(b) or "e" for b in braids]  # the empty word reads e
+        return f"braids differ: {words[0]} vs {words[1]}", braids
     return None, braids
 
 
@@ -300,3 +309,23 @@ def test_compiled_checker_matches_a_fresh_parse(spec, mutate):
         for seen in braids:
             assert len(set(seen)) <= 1, entry["id"]
     assert "braids differ" in reasons and "right side" in reasons
+
+
+@pytest.mark.parametrize("spec", ["C2", "S3"])
+def test_braids_differ_reason_names_the_empty_word(spec):
+    group = make_group(spec)
+    compiled = CompiledRelation(group, DOUBLE_BRAIDING)
+    identity = {"x1": group.identity, "x2": group.identity}
+    assert compiled.check(identity) == "braids differ: e vs 1 1"
+
+
+def test_import_does_not_read_the_table():
+    src = str(Path(gbraids.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import gbraids.relations as r\n"
+            "assert r._table.cache_info().currsize == 0\n"
+            "assert r.RELATION_IDS[0] == 'pentagon'\n"
+            "assert r._table.cache_info().currsize == 1\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    with pytest.raises(AttributeError):
+        gbraids.relations.NO_SUCH_NAME
