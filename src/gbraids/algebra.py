@@ -13,36 +13,42 @@ in the bundled table evaluates to the same scalar along both sides for
 every color assignment.  Both sides of a relation are products of
 variables and inverse variables, so coherence is a homogeneous linear
 condition; ``solve_coherence`` nevertheless enumerates solutions by plain
-backtracking over the canonical variable order, with an instance cap, and
-leaves linear-algebra shortcuts to callers who want an independent check.
+backtracking over the canonical variable order, with an instance cap.
+
+The scalars are read off traced programs, not trees.  Each side of a table
+entry is applied once per call, by the rewrites of ``relations``, to the
+entry's template with every color and label a word over the symbols (and
+any constant elements); a key is then a tuple of such words.  Per
+assignment, ``coherence_equations``, ``check_coherence`` and
+``evaluate_morphism`` evaluate the words on index tuples with ``group.mul``
+and ``group.inv`` and test, with the same ``RelationError``, the equalities
+the words leave open (equal ``beta`` labels, an identity ``delta`` label,
+the inverse ``c`` label).
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .groups import FiniteGroup, GroupElement
 from .operad import CapExceeded
 from .relations import (GENERATORS, CompiledRelation, MorphismWord,
-                        apply_generator, relation_assignments,
-                        relation_entries, relation_report)
-from .trees import GTree, output_color, subtree_at, validate
+                        RelationError, apply_generator, relation_entries,
+                        relation_report)
+from .trees import (GTree, InputLeaf, LabelEdge, Tensor, _map_leaves,
+                    output_color, subtree_at, validate)
 
 
 class AlgebraError(ValueError):
     pass
 
 
-_KEY_ARITY = {
-    "alpha": 3,   # output colors of the three tensorands
-    "ell": 1,     # output color of the non-unit factor
-    "r": 1,
-    "beta": 3,    # the shared label, then the two child output colors
-    "gamma": 3,   # outer label, inner label, child output color
-    "delta": 1,   # child output color
-    "eps": 1,     # the discarded label
-    "c": 2,       # output colors of the two factors, in source order
-}
+# the key components of a generator instance, read off its forward source:
+# the output color of the subtree at a path, or after "L" the label there
+_KEYS = {"alpha": ("00", "01", "1"), "ell": ("1",), "r": ("0",),
+         "beta": ("L0", "00", "10"), "gamma": ("L", "L0", "00"),
+         "delta": ("0",), "eps": ("L",), "c": ("0", "1")}
 
 
 def variable_order(group: FiniteGroup) -> tuple[tuple[str, tuple[int, ...]], ...]:
@@ -50,49 +56,140 @@ def variable_order(group: FiniteGroup) -> tuple[tuple[str, tuple[int, ...]], ...
     out = []
     for gen in GENERATORS:
         for key in itertools.product(range(group.order),
-                                     repeat=_KEY_ARITY[gen]):
+                                     repeat=len(_KEYS[gen])):
             out.append((gen, key))
     return tuple(out)
 
 
-def _variable_key(sub: GTree, gen: str, group: FiniteGroup) -> tuple[int, ...]:
-    """Key of the generator instance whose forward source is ``sub``."""
-    def out(t):
-        return output_color(t, group).index
-
-    if gen == "alpha":
-        return (out(sub.left.left), out(sub.left.right), out(sub.right))
-    if gen == "ell":
-        return (out(sub.right),)
-    if gen == "r":
-        return (out(sub.left),)
-    if gen == "beta":
-        return (sub.left.label.index, out(sub.left.child), out(sub.right.child))
-    if gen == "gamma":
-        return (sub.label.index, sub.child.label.index, out(sub.child.child))
-    if gen == "delta":
-        return (out(sub.child),)
-    if gen == "eps":
-        return (sub.label.index,)
-    return (out(sub.left), out(sub.right))  # c
+def _inverse(word) -> tuple[int, ...]:
+    return tuple(atom ^ 1 for atom in reversed(word))
 
 
-def morphism_variables(source: GTree, word: MorphismWord,
-                       group: FiniteGroup):
-    """Walk a word and report ((gen, key), sign) per letter plus the target.
+class _Program:
+    """Morphism words applied once to a template of one group, as index
+    programs.
 
-    Forward letters read their key off the subtree they rewrite; inverse
-    letters read it off the result, which has the forward source shape.
+    Each symbol, then each distinct non-identity element, is a slot, and a
+    color or label becomes a word: a tuple of atoms, 2s for slot s and
+    2s + 1 for its inverse.  A word of elements alone is folded into the
+    one element it equals, so a tree without symbols keeps one atom per
+    label.  The program is the label arithmetic that ``relations._rewrite``
+    runs on that template (the flipped braiding, which needs ``inv``, is
+    never traced): the shape errors raise here, and so does an
+    equality that fails between elements; one that involves symbols is kept
+    in ``open``.  Per letter it keeps the generator, its key words and its
+    sign.  ``terms`` evaluates them at one assignment and builds no tree.
     """
-    tree = source
-    terms = []
-    for letter in word.letters:
-        after = apply_generator(tree, letter, group)
-        shaped = subtree_at(after if letter.inverse else tree, letter.path)
-        key = _variable_key(shaped, letter.gen, group)
-        terms.append(((letter.gen, key), -1 if letter.inverse else 1))
-        tree = after
-    return tree, terms
+    identity = staticmethod(lambda group: ())
+
+    def __init__(self, group: FiniteGroup, template: GTree, morphisms,
+                 symbols=()) -> None:
+        self.group, self.open, self.slots = group, [], list(symbols)
+        self.symbol_atoms = 2 * len(self.slots)
+        current = _map_leaves(template, lambda leaf: InputLeaf(
+            leaf.slot, self._atom(leaf.color)), self._atom)
+        self.words, self.sides = {}, []  # distinct words, by first use
+
+        def register(word) -> int:
+            return self.words.setdefault(word, len(self.words))
+
+        for morphism in morphisms:
+            tree, terms = current, []
+            for letter in morphism.letters:
+                after = apply_generator(tree, letter, group, ops=self)
+                # the key is read off the forward source, which is the
+                # result of an inverse letter
+                site = subtree_at(after if letter.inverse else tree,
+                                  letter.path)
+                key = [register(w) for w in self._key(site, letter.gen)]
+                # itemgetter gives a bare register for a single index
+                get = (operator.itemgetter(*key) if len(key) > 1
+                       else lambda regs, i=key[0]: (regs[i],))
+                terms.append((letter.gen, get, -1 if letter.inverse else 1))
+                tree = after
+            self.sides.append(terms)
+        self.open = [(*map(register, pair), message)
+                     for *pair, message in self.open]
+        self.constants = tuple(x.index for x in self.slots[len(symbols):])
+
+    def _atom(self, x) -> tuple[int, ...]:
+        """The word of a symbol name or an element."""
+        if type(x) is not str:
+            if x.index == self.group.identity_index:
+                return ()
+            if x not in self.slots:
+                self.slots.append(x)
+        return (2 * self.slots.index(x),)
+
+    def _known(self, word) -> bool:
+        return all(atom >= self.symbol_atoms for atom in word)
+
+    def _fold(self, word) -> tuple[int, ...]:
+        """A word of elements alone as the element it equals."""
+        if not self._known(word):
+            return word
+        mul, inv, acc = self.group.mul, self.group.inv, 0
+        for atom in word:
+            x = self.slots[atom // 2].index
+            acc = mul[acc][inv[x] if atom & 1 else x]
+        return self._atom(self.group.elements()[acc])
+
+    def out(self, t: GTree, group=None) -> tuple[int, ...]:
+        """The output color of a tree of words: its leaf colors conjugated
+        by the labels above them, multiplied in position order."""
+        word, stack = (), [(t, ())]
+        while stack:
+            node, above = stack.pop()
+            if isinstance(node, Tensor):
+                stack += ((node.right, above), (node.left, above))
+            elif isinstance(node, LabelEdge):
+                stack.append((node.child, above + node.label))
+            elif isinstance(node, InputLeaf):
+                word += above + node.color + _inverse(above)
+        return self._fold(word)
+
+    def mul(self, x, y) -> tuple[int, ...]:
+        return self._fold(x + y)
+
+    def require(self, x, y, message: str) -> None:
+        if x != y:  # words of elements are folded: these elements differ
+            if self._known(x + y):
+                raise RelationError(message)
+            self.open.append((x, y, message))
+
+    def _key(self, site: GTree, gen: str):
+        """The key words of a generator instance at its forward source."""
+        for spec in _KEYS[gen]:
+            sub = subtree_at(site, tuple(map(int, spec.lstrip("L"))))
+            yield sub.label if spec[0] == "L" else self.out(sub)
+
+    def terms(self, values: tuple[int, ...]) -> list[list]:
+        """Per morphism, ``((gen, key), sign)`` per letter at one assignment
+        of symbol indices; a failed equality raises :class:`RelationError`."""
+        mul, inv = self.group.mul, self.group.inv
+        slots = [x for v in values + self.constants for x in (v, inv[v])]
+        regs = []
+        for word in self.words:
+            acc = 0
+            for atom in word:
+                acc = mul[acc][slots[atom]]
+            regs.append(acc)
+        for x, y, message in self.open:
+            if regs[x] != regs[y]:
+                raise RelationError(message)
+        return [[((gen, key(regs)), sign) for gen, key, sign in side]
+                for side in self.sides]
+
+
+def _instances(group: FiniteGroup, entry: dict):
+    """``(values, lhs terms, rhs terms)`` per assignment of one entry, in
+    table order, from one program traced on the entry's template."""
+    compiled = CompiledRelation(group, entry)
+    program = _Program(group, compiled.template, (compiled.lhs, compiled.rhs),
+                       entry["symbols"])
+    for values in itertools.product(range(group.order),
+                                    repeat=len(entry["symbols"])):
+        yield (values, *program.terms(values))
 
 
 @dataclass(frozen=True)
@@ -160,7 +257,11 @@ class CrossedAlgebraData:
         values = {}
         for name, x in payload["values"].items():
             gen, _, rest = name.partition(":")
-            key = tuple(int(p) for p in rest.split(",")) if rest else ()
+            try:
+                key = tuple(int(p) for p in rest.split(",")) if rest else ()
+            except ValueError:
+                raise AlgebraError(
+                    f"malformed variable name {name!r}") from None
             values[(gen, key)] = x
         return cls(group, payload["modulus"], values)
 
@@ -174,8 +275,10 @@ def evaluate_object(data: CrossedAlgebraData, tree: GTree) -> GroupElement:
 
 def evaluate_morphism(data: CrossedAlgebraData, source: GTree,
                       word: MorphismWord) -> int:
-    """The scalar of a structural word, as an exponent mod ``modulus``."""
-    _, terms = morphism_variables(source, word, data.group)
+    """The scalar of a structural word, as an exponent mod ``modulus``.
+    The checks of ``validate`` come first and raise ``TreeError``."""
+    validate(source, data.group)
+    [terms] = _Program(data.group, source, (word,)).terms(())
     return sum(sign * data.scalar(*var) for var, sign in terms) % data.modulus
 
 
@@ -192,11 +295,7 @@ def coherence_equations(group: FiniteGroup, relation_ids=None):
     seen = set()
     equations = []
     for entry in relation_entries(relation_ids):
-        compiled = CompiledRelation(group, entry)
-        for assignment in relation_assignments(group, entry):
-            source = compiled.source(assignment)
-            _, left = morphism_variables(source, compiled.lhs, group)
-            _, right = morphism_variables(source, compiled.rhs, group)
+        for _, left, right in _instances(group, entry):
             coeffs: dict = {}
             for var, sign in left + [(var, -sign) for var, sign in right]:
                 coeffs[var] = coeffs.get(var, 0) + sign
@@ -212,13 +311,11 @@ def coherence_equations(group: FiniteGroup, relation_ids=None):
 
 
 def _coherence_outcomes(data: CrossedAlgebraData, entry: dict):
-    compiled = CompiledRelation(data.group, entry)
-    for assignment in relation_assignments(data.group, entry):
-        source = compiled.source(assignment)
-        left = evaluate_morphism(data, source, compiled.lhs)
-        right = evaluate_morphism(data, source, compiled.rhs)
+    for values, *sides in _instances(data.group, entry):
+        left, right = (sum(sign * data.values[var] for var, sign in side)
+                       % data.modulus for side in sides)
         yield None if left == right else {
-            "assignment": {k: v.index for k, v in assignment.items()},
+            "assignment": dict(zip(entry["symbols"], values)),
             "lhs": left,
             "rhs": right,
         }
@@ -285,8 +382,9 @@ def solve_coherence(group: FiniteGroup, modulus: int = 2, relation_ids=None,
 
 
 def builtin_group_example(modulus: int = 2) -> CrossedAlgebraData:
-    """A nontrivial coherent datum over the two-element group: the sign
-    braiding that is -1 exactly on the pair of nontrivial colors."""
+    """A nonzero coherent datum over the two-element group: the sign
+    braiding that is -1 exactly on the pair of nontrivial colors (mod 2 it
+    is a gauge change of the trivial datum)."""
     from .groups import make_group
     group = make_group("C2")
     if modulus % 2:

@@ -36,6 +36,9 @@ template whose symbols stand in for elements, reads both words once and
 compares the two braids once, as a side's braid depends only on the shape.
 Each instance still applies every letter, compares the target trees and
 checks both braids against the normal forms, normalizing the source once.
+The rewrites compute and compare labels through an ``ops`` object,
+:class:`Elements` for trees of group elements; ``algebra`` passes its own
+to apply a word once to a template of symbolic labels.
 """
 from __future__ import annotations
 
@@ -43,6 +46,7 @@ import copy
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -103,8 +107,21 @@ def _expect(condition: bool, letter: MorphismLetter, found: GTree):
             f"apply at {letter.path}: found {type(found).__name__}")
 
 
+class Elements:
+    """The label arithmetic of ``_rewrite`` on trees of group elements; an
+    equality a letter needs raises :class:`RelationError` when it fails."""
+    out = staticmethod(lambda t, group: output_color(t, group))
+    mul, inv = staticmethod(operator.mul), staticmethod(GroupElement.inverse)
+    identity = staticmethod(operator.attrgetter("identity"))
+
+    @staticmethod
+    def require(x: GroupElement, y: GroupElement, message: str) -> None:
+        if x is not y:
+            raise RelationError(message)
+
+
 def _rewrite(sub: GTree, letter: MorphismLetter, group: FiniteGroup,
-             flip_braiding: bool) -> GTree:
+             flip_braiding: bool, ops=Elements) -> GTree:
     gen, inv = letter.gen, letter.inverse
     if gen == "alpha":
         if not inv:
@@ -131,8 +148,8 @@ def _rewrite(sub: GTree, letter: MorphismLetter, group: FiniteGroup,
             _expect(isinstance(sub, Tensor)
                     and isinstance(sub.left, LabelEdge)
                     and isinstance(sub.right, LabelEdge), letter, sub)
-            if sub.left.label != sub.right.label:
-                raise RelationError("beta needs equal labels on both factors")
+            ops.require(sub.left.label, sub.right.label,
+                        "beta needs equal labels on both factors")
             return LabelEdge(sub.left.label,
                              Tensor(sub.left.child, sub.right.child))
         _expect(isinstance(sub, LabelEdge)
@@ -144,14 +161,14 @@ def _rewrite(sub: GTree, letter: MorphismLetter, group: FiniteGroup,
             raise RelationError("inverse gamma needs a factorization")
         _expect(isinstance(sub, LabelEdge)
                 and isinstance(sub.child, LabelEdge), letter, sub)
-        return LabelEdge(sub.label * sub.child.label, sub.child.child)
+        return LabelEdge(ops.mul(sub.label, sub.child.label), sub.child.child)
     if gen == "delta":
         if not inv:
             _expect(isinstance(sub, LabelEdge), letter, sub)
-            if not sub.label.is_identity():
-                raise RelationError("delta removes only identity labels")
+            ops.require(sub.label, ops.identity(group),
+                        "delta removes only identity labels")
             return sub.child
-        return LabelEdge(group.identity, sub)
+        return LabelEdge(ops.identity(group), sub)
     if gen == "eps":
         if inv:
             raise RelationError("inverse eps needs a label")
@@ -163,26 +180,25 @@ def _rewrite(sub: GTree, letter: MorphismLetter, group: FiniteGroup,
     a, b = sub.left, sub.right
     if not flip_braiding:
         if not inv:
-            return Tensor(LabelEdge(output_color(a, group), b), a)
+            return Tensor(LabelEdge(ops.out(a, group), b), a)
         _expect(isinstance(a, LabelEdge), letter, sub)
-        if a.label != output_color(b, group):
-            raise RelationError("inverse c: label is not the output color "
-                                "of the right factor")
+        ops.require(a.label, ops.out(b, group), "inverse c: label is not the "
+                    "output color of the right factor")
         return Tensor(b, a.child)
     if not inv:
-        return Tensor(b, LabelEdge(output_color(b, group).inverse(), a))
+        return Tensor(b, LabelEdge(ops.inv(ops.out(b, group)), a))
     _expect(isinstance(b, LabelEdge), letter, sub)
-    if b.label != output_color(a, group).inverse():
-        raise RelationError("inverse flipped c: label is not the inverse "
-                            "output color of the left factor")
+    ops.require(b.label, ops.inv(ops.out(a, group)), "inverse flipped c: "
+                "label is not the inverse output color of the left factor")
     return Tensor(b.child, a)
 
 
 def apply_generator(tree: GTree, letter: MorphismLetter, group: FiniteGroup,
-                    flip_braiding: bool = False) -> GTree:
+                    flip_braiding: bool = False, ops=Elements) -> GTree:
+    """``tree`` with ``letter`` applied, its labels computed by ``ops``."""
     sub = subtree_at(tree, letter.path)
     return replace_at(tree, letter.path,
-                      _rewrite(sub, letter, group, flip_braiding))
+                      _rewrite(sub, letter, group, flip_braiding, ops))
 
 
 def _c_braid_letters(tree: GTree, letter: MorphismLetter,

@@ -1,20 +1,38 @@
+import hashlib
+import itertools
+import random
+
 import pytest
 
-from gbraids.algebra import (AlgebraError, CrossedAlgebraData,
+from gbraids import algebra, relations, trees
+from gbraids.algebra import (AlgebraError, CrossedAlgebraData, _Program,
                              builtin_group_example, check_coherence,
                              coherence_equations, evaluate_morphism,
-                             evaluate_object, morphism_variables,
-                             solve_coherence, variable_order)
+                             evaluate_object, solve_coherence, variable_order)
 from gbraids.groups import make_group
 from gbraids.operad import CapExceeded
-from gbraids.relations import (MorphismLetter, MorphismWord, RelationError,
-                               get_relation, load_relation_table,
-                               relation_assignments)
-from gbraids.trees import TreeError, parse_tree
+from gbraids.relations import (GENERATORS, MorphismLetter, MorphismWord,
+                               RelationError, apply_generator, get_relation,
+                               load_relation_table, relation_assignments)
+from gbraids.trees import (InputLeaf, LabelEdge, Tensor, TreeError,
+                           _map_leaves, output_color, parse_tree, random_tree,
+                           subtree_at)
 
 C2 = make_group("C2")
 C3 = make_group("C3")
 S3 = make_group("S3")
+D4 = make_group("D4")
+
+# sha256 of the ordered equation lists, each equation as its sorted items,
+# as the per-instance tree walk (the oracle below) gives them
+FROZEN_EQUATION_DIGESTS = {
+    "C2": "b0e220dd432773328cede479b38edc047e3921dc09e609f939589b89d35aa2fc",
+    "C3": "4cfdbd64dcdb86fa38bb56d1bfc6ac5940d35a421a07c16ceb4213906d123719",
+    "S3": "08598f1bc50298202cf8ac4665dd88861889e43748e4bc24f49491a9769c9f3d",
+    "C2xC2xC2":
+        "b467ceca3748d0ef7ca4c893f454bacb2afb0dfcea1718adad2d9bb1918eb6c4",
+    "D4": "0f9d9ad4d98b9286189e818c37f7b22b4b0258f3d0975f31c8973b69fec6a01b",
+}
 
 FROZEN_C2_RANK = 28
 FROZEN_C2_SOLUTIONS = 256  # 2 ** (36 - 28)
@@ -100,30 +118,121 @@ def test_solution_count_matches_elimination_oracle():
             assert sum(c * vec[index[v]] for v, c in eq.items()) % 2 == 0
 
 
-def _fresh_equations(group):
-    """coherence_equations rebuilt with a parse per instance: the same
-    cancellation, and duplicates kept once in first-seen order."""
-    seen, equations = set(), []
+def _walk_key(sub, gen, group):
+    """Key of the generator instance whose forward source is ``sub``."""
+    def out(t):
+        return output_color(t, group).index
+
+    if gen == "alpha":
+        return (out(sub.left.left), out(sub.left.right), out(sub.right))
+    if gen == "ell":
+        return (out(sub.right),)
+    if gen == "r":
+        return (out(sub.left),)
+    if gen == "beta":
+        return (sub.left.label.index, out(sub.left.child),
+                out(sub.right.child))
+    if gen == "gamma":
+        return (sub.label.index, sub.child.label.index, out(sub.child.child))
+    if gen == "delta":
+        return (out(sub.child),)
+    if gen == "eps":
+        return (sub.label.index,)
+    return (out(sub.left), out(sub.right))  # c
+
+
+def _walk_variables(source, word, group):
+    """The tree-walking oracle: apply each letter to the real tree and read
+    ((gen, key), sign) off its forward source (the result, for an inverse
+    letter).  Returns the target tree and the terms."""
+    tree, terms = source, []
+    for letter in word.letters:
+        after = apply_generator(tree, letter, group)
+        shaped = subtree_at(after if letter.inverse else tree, letter.path)
+        terms.append(((letter.gen, _walk_key(shaped, letter.gen, group)),
+                      -1 if letter.inverse else 1))
+        tree = after
+    return tree, terms
+
+
+def _walk_scalar(data, source, word):
+    terms = _walk_variables(source, word, data.group)[1]
+    return sum(sign * data.scalar(*var) for var, sign in terms) % data.modulus
+
+
+def _instances(group):
+    """(entry, assignment, source parsed afresh, lhs, rhs) per instance."""
     for entry in load_relation_table():
+        lhs = MorphismWord.from_json(entry["lhs"])
+        rhs = MorphismWord.from_json(entry["rhs"])
         for assignment in relation_assignments(group, entry):
             source = parse_tree(entry["source"], group,
                                 dict(assignment, e=group.identity))
-            coeffs = {}
-            for key, sign in (("lhs", 1), ("rhs", -1)):
-                word = MorphismWord.from_json(entry[key])
-                for var, s in morphism_variables(source, word, group)[1]:
-                    coeffs[var] = coeffs.get(var, 0) + sign * s
-            coeffs = {v: c for v, c in coeffs.items() if c}
-            fingerprint = frozenset(coeffs.items())
-            if coeffs and fingerprint not in seen:
-                seen.add(fingerprint)
-                equations.append(coeffs)
+            yield entry, assignment, source, lhs, rhs
+
+
+def _fresh_equations(group):
+    """coherence_equations rebuilt with a parse and a tree walk per
+    instance: the same cancellation, and duplicates kept once in first-seen
+    order."""
+    seen, equations = set(), []
+    for _, _, source, lhs, rhs in _instances(group):
+        coeffs = {}
+        for word, sign in ((lhs, 1), (rhs, -1)):
+            for var, s in _walk_variables(source, word, group)[1]:
+                coeffs[var] = coeffs.get(var, 0) + sign * s
+        coeffs = {v: c for v, c in coeffs.items() if c}
+        fingerprint = frozenset(coeffs.items())
+        if coeffs and fingerprint not in seen:
+            seen.add(fingerprint)
+            equations.append(coeffs)
     return equations
 
 
 def test_coherence_equations_match_a_fresh_parse():
-    assert coherence_equations(S3) == _fresh_equations(S3)
+    for group in (C2, C3, S3, D4):
+        assert coherence_equations(group) == _fresh_equations(group), group
     assert len(coherence_equations(C2)) == 89
+
+
+@pytest.mark.parametrize("spec", sorted(FROZEN_EQUATION_DIGESTS))
+def test_coherence_equations_pinned(spec):
+    equations = coherence_equations(make_group(spec))
+    text = repr([sorted(eq.items()) for eq in equations])
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        FROZEN_EQUATION_DIGESTS[spec]
+
+
+def test_equations_make_no_per_instance_tree_calls(monkeypatch):
+    """The table is traced once per entry: building the S3 equations makes
+    exactly as many apply_generator, _map_leaves and output_color calls as
+    building the C2 ones, whatever the number of instances."""
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in (("apply_generator", apply_generator),
+                     ("_map_leaves", _map_leaves),
+                     ("output_color", output_color)):
+        for module in (algebra, relations, trees):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    per_group = {}
+    for group in (C2, S3):
+        counts.update(dict.fromkeys(
+            ("apply_generator", "_map_leaves", "output_color"), 0))
+        coherence_equations(group)
+        per_group[group.label] = dict(counts)
+    table = load_relation_table()
+    assert per_group["S3"] == per_group["C2"] == {
+        "apply_generator": sum(len(e["lhs"]) + len(e["rhs"]) for e in table),
+        "_map_leaves": len(table),
+        "output_color": 0,
+    }
 
 
 def test_solution_set_is_a_group_under_pointwise_sum():
@@ -177,16 +286,217 @@ def test_inverse_letter_cancels_its_scalar():
     word = MorphismWord((MorphismLetter("c"),
                          MorphismLetter("c", inverse=True)))
     assert evaluate_morphism(data, src, word) == 0
-    tree, terms = morphism_variables(src, word, C2)
+    expected = [(("c", (1, 1)), 1), (("c", (1, 1)), -1)]
+    assert _Program(C2, src, (word,)).terms(()) == [expected]
+    tree, terms = _walk_variables(src, word, C2)
     assert tree == src
-    assert terms == [(("c", (1, 1)), 1), (("c", (1, 1)), -1)]
+    assert terms == expected
 
 
-def test_morphism_variables_pinned_keys():
+def test_program_pinned_keys():
     src = parse_tree("T(T(leaf:1:2,leaf:2:1),leaf:3:3)", S3)
     word = MorphismWord((MorphismLetter("alpha"),))
-    _, terms = morphism_variables(src, word, S3)
-    assert terms == [(("alpha", (2, 1, 3)), 1)]
+    expected = [(("alpha", (2, 1, 3)), 1)]
+    assert _Program(S3, src, (word,)).terms(()) == [expected]
+    assert _walk_variables(src, word, S3)[1] == expected
+    # the same key from a template, at the assignment that rebuilds src
+    template = parse_tree("T(T(leaf:1:x,leaf:2:y),leaf:3:3)", S3,
+                          {"x": "x", "y": "y"})
+    assert _Program(S3, template, (word,), ("x", "y")).terms((2, 1)) == \
+        [expected]
+
+
+@pytest.mark.parametrize("text, letters", [
+    ("T(L[h](leaf:1:x),L[k](leaf:2:y))", [("beta", (), False)]),
+    ("T(leaf:1:x,L[h](leaf:2:y))", [("delta", (1,), False), ("c", (), False)]),
+    ("T(L[h](leaf:1:x),T(leaf:2:y,U))", [("c", (), True), ("r", (0,), False)]),
+])
+def test_open_equalities_are_tested_per_assignment(text, letters):
+    """Equalities between symbols are left open at trace time and decided
+    per assignment, with the tree walk's error or terms."""
+    names = ("h", "k", "x", "y")
+    template = parse_tree(text, S3, {n: n for n in names})
+    word = MorphismWord(tuple(MorphismLetter(*x) for x in letters))
+    program = _Program(S3, template, (word,), names)
+    assert program.open
+    outcomes = set()
+    for values in itertools.product(range(S3.order), repeat=len(names)):
+        assignment = dict(zip(names, map(S3.element, values)))
+        source = _map_leaves(
+            template,
+            lambda leaf: InputLeaf(leaf.slot, assignment[leaf.color]),
+            lambda h: assignment[h])
+        got = _outcome(lambda: program.terms(values)[0])
+        assert got == _outcome(
+            lambda: _walk_variables(source, word, S3)[1])
+        outcomes.add(type(got))
+    assert outcomes == {list, tuple}
+
+
+def _walk_coherence(data, max_reported=20):
+    """check_coherence rebuilt by parsing and walking every instance."""
+    reports = {}
+    for entry, assignment, source, lhs, rhs in _instances(data.group):
+        report = reports.setdefault(entry["id"], {
+            "relation": entry["id"], "assignments_checked": 0,
+            "failure_count": 0, "failures": []})
+        report["assignments_checked"] += 1
+        left = _walk_scalar(data, source, lhs)
+        right = _walk_scalar(data, source, rhs)
+        if left != right:
+            report["failure_count"] += 1
+            if len(report["failures"]) < max_reported:
+                report["failures"].append({
+                    "assignment": {k: v.index for k, v in assignment.items()},
+                    "lhs": left, "rhs": right})
+    total = sum(r["failure_count"] for r in reports.values())
+    return {"group": data.group.label, "modulus": data.modulus,
+            "relations": list(reports.values()), "total_failures": total,
+            "coherent": total == 0}
+
+
+def _random_data(group, modulus, rng):
+    return CrossedAlgebraData.from_vector(
+        group, modulus,
+        [rng.randrange(modulus) for _ in variable_order(group)])
+
+
+def test_check_coherence_matches_a_tree_walk():
+    rng = random.Random(20261019)
+    solutions = solve_coherence(C2, modulus=2)
+    data = [builtin_group_example(), builtin_group_example(4),
+            rng.choice(solutions), _random_data(C2, 2, rng),
+            _random_data(C2, 3, rng), CrossedAlgebraData.trivial(C3, 3),
+            _random_data(C3, 2, rng), _random_data(S3, 5, rng)]
+    # a random datum away from a coherent one in a single variable
+    near = dict(rng.choice(solutions).values)
+    near[("beta", (1, 0, 1))] ^= 1
+    data.append(CrossedAlgebraData(C2, 2, near))
+    for datum in data:
+        report = check_coherence(datum, max_reported=3)
+        assert report == _walk_coherence(datum, max_reported=3)
+    assert {check_coherence(d)["coherent"] for d in data} == {True, False}
+
+
+def _relabel(tree, group, rng):
+    """A tree of the same shape and slots with fresh random elements."""
+    def element():
+        return group.element(rng.randrange(group.order))
+    return _map_leaves(tree, lambda leaf: InputLeaf(leaf.slot, element()),
+                       lambda h: element())
+
+
+def _paths(tree):
+    stack, paths = [(tree, ())], []
+    while stack:
+        node, path = stack.pop()
+        paths.append(path)
+        if isinstance(node, Tensor):
+            stack += ((node.left, path + (0,)), (node.right, path + (1,)))
+        elif isinstance(node, LabelEdge):
+            stack.append((node.child, path + (0,)))
+    return sorted(paths)
+
+
+def _random_word(tree, group, rng, length):
+    """A word whose every letter applies to ``tree`` where it is reached;
+    each step draws a generator and direction first, then a site."""
+    letters = []
+    for _ in range(length):
+        candidates = {}
+        for path in _paths(tree):
+            for gen in GENERATORS:
+                for inverse in (False, True):
+                    letter = MorphismLetter(gen, path, inverse)
+                    try:
+                        after = apply_generator(tree, letter, group)
+                    except (RelationError, TreeError):
+                        continue
+                    candidates.setdefault((gen, inverse), []).append(
+                        (letter, after))
+        letter, tree = rng.choice(candidates[rng.choice(sorted(candidates))])
+        letters.append(letter)
+    return MorphismWord(tuple(letters))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (RelationError, TreeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("group", [C2, C3, S3], ids=lambda g: g.label)
+def test_evaluate_morphism_matches_a_tree_walk(group):
+    """Random words on random trees: words that apply, evaluated again on
+    trees of the same shape with fresh elements, where beta, delta and
+    inverse c may fail, and words of arbitrary letters, which may also
+    fail on the shape.  The first failing letter decides the error."""
+    rng = random.Random(f"evaluate-{group.label}")
+    data = _random_data(group, 5, rng)
+    outcomes = set()
+    for _ in range(60):
+        tree = random_tree(group, rng.randrange(1, 5), rng)
+        walked = _random_word(tree, group, rng, rng.randrange(1, 7))
+        arbitrary = MorphismWord(tuple(
+            MorphismLetter(rng.choice(GENERATORS),
+                           tuple(rng.randrange(2) for _ in range(
+                               rng.randrange(3))), rng.random() < 0.3)
+            for _ in range(rng.randrange(1, 5))))
+        for source in (tree, _relabel(tree, group, rng)):
+            for word in (walked, arbitrary):
+                got = _outcome(evaluate_morphism, data, source, word)
+                assert got == _outcome(_walk_scalar, data, source, word)
+                outcomes.add(got[1] if type(got) is tuple else "value")
+    assert {"value", "delta removes only identity labels",
+            "path descends past a leaf"} <= outcomes
+
+
+@pytest.mark.parametrize("text, letters, message", [
+    ("T(L[1](leaf:1:0),L[2](leaf:2:0))", [("beta", (), False)],
+     "beta needs equal labels on both factors"),
+    ("L[2](leaf:1:1)", [("delta", (), False)],
+     "delta removes only identity labels"),
+    ("T(L[3](leaf:1:2),leaf:2:1)", [("c", (), True)],
+     "inverse c: label is not the output color of the right factor"),
+    ("L[1](L[2](leaf:1:0))", [("gamma", (), True)],
+     "inverse gamma needs a factorization"),
+    ("L[1](U)", [("eps", (), True)], "inverse eps needs a label"),
+    ("T(leaf:1:1,leaf:2:2)", [("alpha", (0, 0), False)],
+     "path descends past a leaf"),
+    ("T(leaf:1:1,leaf:2:2)", [("ell", (), True), ("ell", (2,), False)],
+     "bad path step 2 at tensor"),
+    ("T(leaf:1:1,leaf:2:2)", [("alpha", (), False)],
+     "alpha does not apply at (): found Tensor"),
+])
+def test_evaluate_morphism_errors_match_a_tree_walk(text, letters, message):
+    data = _random_data(S3, 3, random.Random(7))
+    source = parse_tree(text, S3)
+    word = MorphismWord(tuple(MorphismLetter(*x) for x in letters))
+    got = _outcome(evaluate_morphism, data, source, word)
+    assert got == _outcome(_walk_scalar, data, source, word)
+    assert got[1] == message
+
+
+def test_words_of_elements_fold_to_one_atom():
+    """On a tree without symbols every word folds to at most one atom, so
+    repeated braidings, whose colors grow as words over the leaf colors,
+    stay cheap and agree with the tree walk."""
+    data = _random_data(S3, 7, random.Random(3))
+    src = parse_tree("T(T(leaf:1:1,L[4](leaf:2:3)),leaf:3:5)", S3)
+    word = MorphismWord((MorphismLetter("c"),) * 12)
+    program = _Program(S3, src, (word,))
+    assert max(map(len, program.words)) <= 1
+    assert evaluate_morphism(data, src, word) == _walk_scalar(data, src, word)
+
+
+def test_evaluate_morphism_rejects_foreign_trees():
+    data = builtin_group_example()
+    word = MorphismWord((MorphismLetter("c"),))
+    for text in ("T(leaf:1:1,leaf:2:1)", "T(leaf:1:5,leaf:2:1)"):
+        with pytest.raises(TreeError,
+                           match="mixed groups in one tree: S3 vs C2"):
+            evaluate_morphism(data, parse_tree(text, S3), word)
 
 
 def test_evaluate_object_rejects_foreign_trees():
@@ -232,6 +542,11 @@ def test_validation_rejects_malformed_data():
                 {"group": "C2", "modulus": 2, "values": [1, 2]},
                 dict(payload, modulus=True), dict(payload, values=flagged)):
         with pytest.raises(AlgebraError):
+            CrossedAlgebraData.from_json(C2, bad)
+    for name in ("alpha:a,b,c", "alpha:0,0,"):
+        bad = dict(payload, values=dict(payload["values"], **{name: 0}))
+        with pytest.raises(AlgebraError, match=f"malformed variable name "
+                                               f"'{name}'"):
             CrossedAlgebraData.from_json(C2, bad)
 
 

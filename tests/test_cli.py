@@ -255,17 +255,30 @@ def test_coherence_nonpositive_modulus_is_usage_error(capsys):
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("payload", [
-    [1, 2], {"group": "C2"},
+def _renamed(name):
+    """The built-in datum with one more value, under a malformed name."""
+    payload = builtin_group_example().to_json()
+    payload["values"][name] = 0
+    return payload
+
+
+@pytest.mark.parametrize("payload, named", [
+    ([1, 2], None), ({"group": "C2"}, None),
     # JSON true must not pass for the integer 1
-    dict(builtin_group_example().to_json(), modulus=True)],
-    ids=["list", "no-values", "bool-modulus"])
-def test_coherence_malformed_data_is_usage_error(capsys, tmp_path, payload):
+    (dict(builtin_group_example().to_json(), modulus=True), None),
+    (_renamed("alpha:a,b,c"), "alpha:a,b,c"),
+    (_renamed("alpha:0,0,"), "alpha:0,0,")],
+    ids=["list", "no-values", "bool-modulus", "letter-in-key",
+         "empty-key-part"])
+def test_coherence_malformed_data_is_usage_error(capsys, tmp_path, payload,
+                                                 named):
     path = tmp_path / "data.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(SystemExit) as err:
         main(["coherence", "--group", "C2", "--data", str(path)])
     assert err.value.code == 2
+    if named:
+        assert f"malformed variable name {named!r}" in capsys.readouterr().err
 
 
 def test_cap_exit_codes(capsys):
