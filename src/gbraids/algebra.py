@@ -15,20 +15,19 @@ variables and inverse variables, so coherence is a homogeneous linear
 condition; ``solve_coherence`` nevertheless enumerates solutions by plain
 backtracking over the canonical variable order, with an instance cap.
 
-The scalars are read off traced programs, not trees.  Each side of a table
-entry is applied once per call, by the rewrites of ``relations``, to the
-entry's template with every color and label a word over the symbols (and
-any constant elements); a key is then a tuple of such words.  Per
-assignment, ``coherence_equations``, ``check_coherence`` and
-``evaluate_morphism`` evaluate the words on index tuples with ``group.mul``
-and ``group.inv`` and test, with the same ``RelationError``, the equalities
-the words leave open (equal ``beta`` labels, an identity ``delta`` label,
-the inverse ``c`` label).
+The scalars are read off traced programs, not trees.  The rewrites of
+``relations`` apply each side of a table entry once to the entry's
+template, for up to 4096 assignments of its symbols at a time, with every
+color and label the tuple of its element indices at those assignments.
+Per letter this gives the generator and its key at each assignment;
+``coherence_equations``, ``check_coherence`` and ``evaluate_morphism`` read
+them one assignment at a time and test there, with the same
+``RelationError``, the equalities the letters need (equal ``beta`` labels,
+an identity ``delta`` label, the inverse ``c`` label).
 """
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 
 from .groups import FiniteGroup, GroupElement
@@ -36,8 +35,8 @@ from .operad import CapExceeded
 from .relations import (GENERATORS, CompiledRelation, MorphismWord,
                         RelationError, apply_generator, relation_entries,
                         relation_report)
-from .trees import (GTree, InputLeaf, LabelEdge, Tensor, _map_leaves,
-                    output_color, subtree_at, validate)
+from .trees import (GTree, InputLeaf, LabelEdge, Tensor, TreeError,
+                    _map_leaves, output_color, subtree_at, validate)
 
 
 class AlgebraError(ValueError):
@@ -53,143 +52,114 @@ _KEYS = {"alpha": ("00", "01", "1"), "ell": ("1",), "r": ("0",),
 
 def variable_order(group: FiniteGroup) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """Canonical flat ordering of all scalar variables for one group."""
-    out = []
-    for gen in GENERATORS:
-        for key in itertools.product(range(group.order),
-                                     repeat=len(_KEYS[gen])):
-            out.append((gen, key))
-    return tuple(out)
+    return tuple((gen, key) for gen in GENERATORS for key in
+                 itertools.product(range(group.order), repeat=len(_KEYS[gen])))
 
 
-def _inverse(word) -> tuple[int, ...]:
-    return tuple(atom ^ 1 for atom in reversed(word))
+_CHUNK = 4096  # assignments traced at a time, so that tuples stay small
 
 
 class _Program:
-    """Morphism words applied once to a template of one group, as index
-    programs.
+    """Morphism words applied once to a template of one group, on index
+    tuples.
 
-    Each symbol, then each distinct non-identity element, is a slot, and a
-    color or label becomes a word: a tuple of atoms, 2s for slot s and
-    2s + 1 for its inverse.  A word of elements alone is folded into the
-    one element it equals, so a tree without symbols keeps one atom per
-    label.  The program is the label arithmetic that ``relations._rewrite``
-    runs on that template (the flipped braiding, which needs ``inv``, is
-    never traced): the shape errors raise here, and so does an
-    equality that fails between elements; one that involves symbols is kept
-    in ``open``.  Per letter it keeps the generator, its key words and its
-    sign.  ``terms`` evaluates them at one assignment and builds no tree.
+    Every color and label is the tuple of its element indices at each of
+    ``assignments``: a symbol is its column, a constant a repeated index, so
+    a concrete tree is a template with one empty assignment.  The rewrites
+    of ``relations._rewrite`` run on it elementwise through ``group.mul``
+    and ``group.conj`` (the flipped braiding, which needs ``inv``, is never
+    traced).  Per letter it keeps the generator, its keys by assignment and
+    its sign.  ``open`` keeps each equality a letter needs, and a shape
+    error, which ends its side; ``terms`` raises the first that fails.
     """
-    identity = staticmethod(lambda group: ())
 
     def __init__(self, group: FiniteGroup, template: GTree, morphisms,
-                 symbols=()) -> None:
-        self.group, self.open, self.slots = group, [], list(symbols)
-        self.symbol_atoms = 2 * len(self.slots)
-        current = _map_leaves(template, lambda leaf: InputLeaf(
-            leaf.slot, self._atom(leaf.color)), self._atom)
-        self.words, self.sides = {}, []  # distinct words, by first use
+                 symbols=(), assignments=((),)) -> None:
+        self.group, self.open, self.sides = group, [], []
+        self.unit = (0,) * len(assignments)
+        self.identity = lambda group: self.unit
+        columns = dict(zip(symbols, zip(*assignments)))
 
-        def register(word) -> int:
-            return self.words.setdefault(word, len(self.words))
+        def indices(x) -> tuple[int, ...]:
+            return columns[x] if type(x) is str else (x.index,) * len(self.unit)
 
+        tree = _map_leaves(template, lambda leaf: InputLeaf(
+            leaf.slot, indices(leaf.color)), indices)
         for morphism in morphisms:
-            tree, terms = current, []
-            for letter in morphism.letters:
-                after = apply_generator(tree, letter, group, ops=self)
-                # the key is read off the forward source, which is the
-                # result of an inverse letter
-                site = subtree_at(after if letter.inverse else tree,
-                                  letter.path)
-                key = [register(w) for w in self._key(site, letter.gen)]
-                # itemgetter gives a bare register for a single index
-                get = (operator.itemgetter(*key) if len(key) > 1
-                       else lambda regs, i=key[0]: (regs[i],))
-                terms.append((letter.gen, get, -1 if letter.inverse else 1))
-                tree = after
+            current, terms = tree, []
+            try:
+                for letter in morphism.letters:
+                    after = apply_generator(current, letter, group, ops=self)
+                    # the key is read off the forward source, which is the
+                    # result of an inverse letter
+                    site = subtree_at(after if letter.inverse else current,
+                                      letter.path)
+                    keys = zip(*self._key(site, letter.gen))
+                    terms.append(([(letter.gen, key) for key in keys],
+                                  -1 if letter.inverse else 1))
+                    current = after
+            except (RelationError, TreeError) as exc:
+                self.open.append((None, None, type(exc), str(exc)))
             self.sides.append(terms)
-        self.open = [(*map(register, pair), message)
-                     for *pair, message in self.open]
-        self.constants = tuple(x.index for x in self.slots[len(symbols):])
 
-    def _atom(self, x) -> tuple[int, ...]:
-        """The word of a symbol name or an element."""
-        if type(x) is not str:
-            if x.index == self.group.identity_index:
-                return ()
-            if x not in self.slots:
-                self.slots.append(x)
-        return (2 * self.slots.index(x),)
-
-    def _known(self, word) -> bool:
-        return all(atom >= self.symbol_atoms for atom in word)
-
-    def _fold(self, word) -> tuple[int, ...]:
-        """A word of elements alone as the element it equals."""
-        if not self._known(word):
-            return word
-        mul, inv, acc = self.group.mul, self.group.inv, 0
-        for atom in word:
-            x = self.slots[atom // 2].index
-            acc = mul[acc][inv[x] if atom & 1 else x]
-        return self._atom(self.group.elements()[acc])
+    def mul(self, x, y) -> tuple[int, ...]:
+        mul = self.group.mul
+        return tuple([mul[a][b] for a, b in zip(x, y)])
 
     def out(self, t: GTree, group=None) -> tuple[int, ...]:
-        """The output color of a tree of words: its leaf colors conjugated
-        by the labels above them, multiplied in position order."""
-        word, stack = (), [(t, ())]
+        """The output color of a tree of index tuples: its leaf colors
+        conjugated by the labels above them, in position order."""
+        mul, conj = self.group.mul, self.group.conj
+        acc, stack = self.unit, [(t, self.unit)]
         while stack:
             node, above = stack.pop()
             if isinstance(node, Tensor):
                 stack += ((node.right, above), (node.left, above))
             elif isinstance(node, LabelEdge):
-                stack.append((node.child, above + node.label))
+                stack.append((node.child, self.mul(above, node.label)))
             elif isinstance(node, InputLeaf):
-                word += above + node.color + _inverse(above)
-        return self._fold(word)
-
-    def mul(self, x, y) -> tuple[int, ...]:
-        return self._fold(x + y)
+                acc = tuple([mul[a][conj[h][g]]
+                             for a, h, g in zip(acc, above, node.color)])
+        return acc
 
     def require(self, x, y, message: str) -> None:
-        if x != y:  # words of elements are folded: these elements differ
-            if self._known(x + y):
-                raise RelationError(message)
-            self.open.append((x, y, message))
+        if x != y:
+            self.open.append((x, y, RelationError, message))
 
     def _key(self, site: GTree, gen: str):
-        """The key words of a generator instance at its forward source."""
+        """The key tuples of a generator instance at its forward source."""
         for spec in _KEYS[gen]:
             sub = subtree_at(site, tuple(map(int, spec.lstrip("L"))))
             yield sub.label if spec[0] == "L" else self.out(sub)
 
-    def terms(self, values: tuple[int, ...]) -> list[list]:
-        """Per morphism, ``((gen, key), sign)`` per letter at one assignment
-        of symbol indices; a failed equality raises :class:`RelationError`."""
-        mul, inv = self.group.mul, self.group.inv
-        slots = [x for v in values + self.constants for x in (v, inv[v])]
-        regs = []
-        for word in self.words:
-            acc = 0
-            for atom in word:
-                acc = mul[acc][slots[atom]]
-            regs.append(acc)
-        for x, y, message in self.open:
-            if regs[x] != regs[y]:
-                raise RelationError(message)
-        return [[((gen, key(regs)), sign) for gen, key, sign in side]
+    def terms(self, i: int) -> list[list]:
+        """Per morphism, ``((gen, key), sign)`` per letter at assignment
+        ``i``; the first open equality or shape error failing there raises."""
+        for x, y, error, message in self.open:
+            if x is None or x[i] != y[i]:
+                raise error(message)
+        return [[(variables[i], sign) for variables, sign in side]
                 for side in self.sides]
 
 
 def _instances(group: FiniteGroup, entry: dict):
     """``(values, lhs terms, rhs terms)`` per assignment of one entry, in
-    table order, from one program traced on the entry's template."""
+    table order, from programs traced on the entry's template, one per
+    chunk of assignments."""
     compiled = CompiledRelation(group, entry)
-    program = _Program(group, compiled.template, (compiled.lhs, compiled.rhs),
-                       entry["symbols"])
-    for values in itertools.product(range(group.order),
-                                    repeat=len(entry["symbols"])):
-        yield (values, *program.terms(values))
+    assignments = itertools.product(range(group.order),
+                                    repeat=len(entry["symbols"]))
+    while chunk := list(itertools.islice(assignments, _CHUNK)):
+        program = _Program(group, compiled.template,
+                           (compiled.lhs, compiled.rhs), entry["symbols"],
+                           chunk)
+        for i, values in enumerate(chunk):
+            yield (values, *program.terms(i))
+
+
+def _name(gen: str, key: tuple[int, ...]) -> str:
+    """The JSON name of a variable, such as ``c:1,1``."""
+    return f"{gen}:{','.join(map(str, key))}"
 
 
 @dataclass(frozen=True)
@@ -238,10 +208,8 @@ class CrossedAlgebraData:
         return {
             "group": self.group.label,
             "modulus": self.modulus,
-            "values": {
-                f"{gen}:{','.join(map(str, key))}": self.values[(gen, key)]
-                for gen, key in variable_order(self.group)
-            },
+            "values": {_name(gen, key): self.values[(gen, key)]
+                       for gen, key in variable_order(self.group)},
         }
 
     @classmethod
@@ -257,11 +225,12 @@ class CrossedAlgebraData:
         values = {}
         for name, x in payload["values"].items():
             gen, _, rest = name.partition(":")
-            try:
-                key = tuple(int(p) for p in rest.split(",")) if rest else ()
+            try:  # int() also takes signs, spaces and leading zeros
+                key = tuple(map(int, rest.split(",")))
             except ValueError:
-                raise AlgebraError(
-                    f"malformed variable name {name!r}") from None
+                key = None
+            if key is None or _name(gen, key) != name:
+                raise AlgebraError(f"malformed variable name {name!r}")
             values[(gen, key)] = x
         return cls(group, payload["modulus"], values)
 
@@ -278,7 +247,7 @@ def evaluate_morphism(data: CrossedAlgebraData, source: GTree,
     """The scalar of a structural word, as an exponent mod ``modulus``.
     The checks of ``validate`` come first and raise ``TreeError``."""
     validate(source, data.group)
-    [terms] = _Program(data.group, source, (word,)).terms(())
+    [terms] = _Program(data.group, source, (word,)).terms(0)
     return sum(sign * data.scalar(*var) for var, sign in terms) % data.modulus
 
 

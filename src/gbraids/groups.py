@@ -38,10 +38,9 @@ class FiniteGroup:
     mul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     label: str = "G"
-    identity_index: int = 0
 
     def __post_init__(self):
-        _validate_table(self.order, self.mul, self.inv, self.identity_index)
+        _validate_table(self.order, self.mul, self.inv)
         # one shared wrapper per element; every accessor and operation
         # below hands out these singletons
         object.__setattr__(self, "_wrappers",
@@ -62,7 +61,7 @@ class FiniteGroup:
 
     @property
     def identity(self) -> "GroupElement":
-        return self._wrappers[self.identity_index]
+        return self._wrappers[0]
 
     def elements(self) -> tuple["GroupElement", ...]:
         return self._wrappers
@@ -104,7 +103,7 @@ class GroupElement:
         return self.inverse()
 
     def is_identity(self) -> bool:
-        return self.index == self.group.identity_index
+        return self.index == 0
 
     def __repr__(self) -> str:
         return f"<{self.group.label}:{self.index}>"
@@ -136,8 +135,7 @@ def conjugate(h: GroupElement, g: GroupElement) -> GroupElement:
 
 def product_of(elements, group: FiniteGroup) -> GroupElement:
     """Ordered product of an iterable of elements (identity if empty)."""
-    acc = group.identity_index
-    m = group.mul
+    acc, m = 0, group.mul
     for x in elements:
         if x.group is not group:
             raise GroupMismatchError("mixed groups in product_of")
@@ -148,18 +146,16 @@ def product_of(elements, group: FiniteGroup) -> GroupElement:
 # -- validation ----------------------------------------------------------
 
 
-def _validate_table(order, mul, inv, identity_index):
+def _validate_table(order, mul, inv):
     if order < 1:
         raise GroupError("order must be positive")
-    if identity_index != 0:
-        raise GroupError("identity must be element 0")
     if len(mul) != order or any(len(row) != order for row in mul):
         raise GroupError("multiplication table must be order x order")
     rng = range(order)
     for row in mul:
         if any(not (0 <= v < order) for v in row):
             raise GroupError("table entry out of range")
-    e = identity_index
+    e = 0  # the identity is always element 0
     for a in rng:
         if mul[e][a] != a or mul[a][e] != a:
             raise GroupError(f"identity axiom fails at element {a}")

@@ -142,8 +142,7 @@ def _holonomy(group: FiniteGroup, pairs) -> int:
     """Index of the boundary output ``prod_p b_p g_p b_p^-1``, for the index
     pairs ``(b_p, g_p)`` of the decoration at each position and the color
     arriving there, in position order."""
-    mul, conj = group.mul, group.conj
-    acc = group.identity_index
+    mul, conj, acc = group.mul, group.conj, 0
     for x, g in pairs:
         acc = mul[acc][conj[x][g]]
     return acc

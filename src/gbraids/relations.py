@@ -38,7 +38,8 @@ Each instance still applies every letter, compares the target trees and
 checks both braids against the normal forms, normalizing the source once.
 The rewrites compute and compare labels through an ``ops`` object,
 :class:`Elements` for trees of group elements; ``algebra`` passes its own
-to apply a word once to a template of symbolic labels.
+to apply a word once to a template whose colors and labels are tuples of
+element indices, one per assignment of the symbols.
 """
 from __future__ import annotations
 

@@ -243,12 +243,12 @@ def denormalize(nf: NormalForm) -> GTree:
         raise TreeError("normal forms are colored tuples")
     if nf.size == 0:
         return UnitLeaf()
-    els, e = nf.group.elements(), nf.group.identity_index
+    els = nf.group.elements()
     images, b = nf.sort_key()
     limbs = [None] * nf.size  # by position
     for slot, (p, color) in enumerate(zip(images, nf.hues), start=1):
         leaf = InputLeaf(slot, els[color])
-        limbs[p - 1] = leaf if b[p - 1] == e else LabelEdge(els[b[p - 1]], leaf)
+        limbs[p - 1] = LabelEdge(els[b[p - 1]], leaf) if b[p - 1] else leaf
     return functools.reduce(Tensor, limbs)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -235,6 +236,37 @@ def test_equations_make_no_per_instance_tree_calls(monkeypatch):
     }
 
 
+def test_entries_are_traced_in_chunks(monkeypatch):
+    """A 4-symbol entry over S4 has 24^4 = 331,776 assignments; its first
+    instance comes from one program traced on at most 4096 of them."""
+    s4 = make_group("S4")
+    traced = []
+
+    class Recorded(_Program):
+        def __init__(self, group, template, morphisms, symbols, assignments):
+            traced.append(len(assignments))
+            super().__init__(group, template, morphisms, symbols, assignments)
+
+    monkeypatch.setattr(algebra, "_Program", Recorded)
+    entry = get_relation("pentagon")
+    values, left, right = next(algebra._instances(s4, entry))
+    assert len(traced) == 1 and 0 < traced[0] <= 4096
+    source = parse_tree(entry["source"], s4,
+                        {name: s4.identity for name in ("e", *entry["symbols"])})
+    assert values == (0, 0, 0, 0)
+    assert (left, right) == tuple(
+        _walk_variables(source, MorphismWord.from_json(entry[side]), s4)[1]
+        for side in ("lhs", "rhs"))
+
+
+def test_chunk_boundaries_do_not_move_results(monkeypatch):
+    rng = random.Random(5)
+    data = _random_data(C3, 4, rng)
+    expected = coherence_equations(C3), check_coherence(data)
+    monkeypatch.setattr(algebra, "_CHUNK", 5)
+    assert (coherence_equations(C3), check_coherence(data)) == expected
+
+
 def test_solution_set_is_a_group_under_pointwise_sum():
     vectors = {s.to_vector() for s in solve_coherence(C2, modulus=2)}
     sample = sorted(vectors)[:20]
@@ -287,7 +319,7 @@ def test_inverse_letter_cancels_its_scalar():
                          MorphismLetter("c", inverse=True)))
     assert evaluate_morphism(data, src, word) == 0
     expected = [(("c", (1, 1)), 1), (("c", (1, 1)), -1)]
-    assert _Program(C2, src, (word,)).terms(()) == [expected]
+    assert _Program(C2, src, (word,)).terms(0) == [expected]
     tree, terms = _walk_variables(src, word, C2)
     assert tree == src
     assert terms == expected
@@ -297,13 +329,13 @@ def test_program_pinned_keys():
     src = parse_tree("T(T(leaf:1:2,leaf:2:1),leaf:3:3)", S3)
     word = MorphismWord((MorphismLetter("alpha"),))
     expected = [(("alpha", (2, 1, 3)), 1)]
-    assert _Program(S3, src, (word,)).terms(()) == [expected]
+    assert _Program(S3, src, (word,)).terms(0) == [expected]
     assert _walk_variables(src, word, S3)[1] == expected
     # the same key from a template, at the assignment that rebuilds src
     template = parse_tree("T(T(leaf:1:x,leaf:2:y),leaf:3:3)", S3,
                           {"x": "x", "y": "y"})
-    assert _Program(S3, template, (word,), ("x", "y")).terms((2, 1)) == \
-        [expected]
+    assert _Program(S3, template, (word,), ("x", "y"),
+                    [(0, 0), (2, 1)]).terms(1) == [expected]
 
 
 @pytest.mark.parametrize("text, letters", [
@@ -317,16 +349,17 @@ def test_open_equalities_are_tested_per_assignment(text, letters):
     names = ("h", "k", "x", "y")
     template = parse_tree(text, S3, {n: n for n in names})
     word = MorphismWord(tuple(MorphismLetter(*x) for x in letters))
-    program = _Program(S3, template, (word,), names)
+    assignments = list(itertools.product(range(S3.order), repeat=len(names)))
+    program = _Program(S3, template, (word,), names, assignments)
     assert program.open
     outcomes = set()
-    for values in itertools.product(range(S3.order), repeat=len(names)):
+    for i, values in enumerate(assignments):
         assignment = dict(zip(names, map(S3.element, values)))
         source = _map_leaves(
             template,
             lambda leaf: InputLeaf(leaf.slot, assignment[leaf.color]),
             lambda h: assignment[h])
-        got = _outcome(lambda: program.terms(values)[0])
+        got = _outcome(lambda: program.terms(i)[0])
         assert got == _outcome(
             lambda: _walk_variables(source, word, S3)[1])
         outcomes.add(type(got))
@@ -478,15 +511,17 @@ def test_evaluate_morphism_errors_match_a_tree_walk(text, letters, message):
     assert got[1] == message
 
 
-def test_words_of_elements_fold_to_one_atom():
-    """On a tree without symbols every word folds to at most one atom, so
-    repeated braidings, whose colors grow as words over the leaf colors,
-    stay cheap and agree with the tree walk."""
+def test_concrete_tree_is_traced_on_one_assignment():
+    """A tree without symbols is a template with one empty assignment:
+    every color and label is a single index, so repeated braidings stay
+    cheap and agree with the tree walk."""
     data = _random_data(S3, 7, random.Random(3))
     src = parse_tree("T(T(leaf:1:1,L[4](leaf:2:3)),leaf:3:5)", S3)
     word = MorphismWord((MorphismLetter("c"),) * 12)
     program = _Program(S3, src, (word,))
-    assert max(map(len, program.words)) <= 1
+    [side] = program.sides
+    assert program.unit == (0,) and not program.open
+    assert all(len(variables) == 1 for variables, _ in side)
     assert evaluate_morphism(data, src, word) == _walk_scalar(data, src, word)
 
 
@@ -543,10 +578,11 @@ def test_validation_rejects_malformed_data():
                 dict(payload, modulus=True), dict(payload, values=flagged)):
         with pytest.raises(AlgebraError):
             CrossedAlgebraData.from_json(C2, bad)
-    for name in ("alpha:a,b,c", "alpha:0,0,"):
+    # int() reads "+1", " 1" and "01" as 1: only the canonical name passes
+    for name in ("alpha:a,b,c", "alpha:0,0,", "c:+1,01", "c: 1,1"):
         bad = dict(payload, values=dict(payload["values"], **{name: 0}))
-        with pytest.raises(AlgebraError, match=f"malformed variable name "
-                                               f"'{name}'"):
+        with pytest.raises(AlgebraError, match=re.escape(
+                f"malformed variable name '{name}'")):
             CrossedAlgebraData.from_json(C2, bad)
 
 

@@ -267,9 +267,11 @@ def _renamed(name):
     # JSON true must not pass for the integer 1
     (dict(builtin_group_example().to_json(), modulus=True), None),
     (_renamed("alpha:a,b,c"), "alpha:a,b,c"),
-    (_renamed("alpha:0,0,"), "alpha:0,0,")],
+    (_renamed("alpha:0,0,"), "alpha:0,0,"),
+    # int() would read both as c:1,1 and let the later value win
+    (_renamed("c:+1,01"), "c:+1,01"), (_renamed("c: 1,1"), "c: 1,1")],
     ids=["list", "no-values", "bool-modulus", "letter-in-key",
-         "empty-key-part"])
+         "empty-key-part", "signed-padded-key", "spaced-key"])
 def test_coherence_malformed_data_is_usage_error(capsys, tmp_path, payload,
                                                  named):
     path = tmp_path / "data.json"

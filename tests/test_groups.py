@@ -145,8 +145,10 @@ def test_table_file_rejects_malformed(tmp_path):
 
 def test_identity_must_be_element_zero():
     # a valid C2 table with rows swapped puts the identity at index 1
-    with pytest.raises(GroupError):
+    with pytest.raises(GroupError, match="identity axiom fails at element 0"):
         FiniteGroup(2, ((1, 0), (0, 1)), (0, 1))
+    with pytest.raises(TypeError):  # there is no identity to choose
+        FiniteGroup(2, ((0, 1), (1, 0)), (0, 1), "C2", 1)
 
 
 def test_bad_specs_rejected():
