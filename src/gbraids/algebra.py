@@ -15,15 +15,10 @@ variables and inverse variables, so coherence is a homogeneous linear
 condition; ``solve_coherence`` nevertheless enumerates solutions by plain
 backtracking over the canonical variable order, with an instance cap.
 
-The scalars are read off traced programs, not trees.  The rewrites of
-``relations`` apply each side of a table entry once to the entry's
-template, for up to 4096 assignments of its symbols at a time, with every
-color and label the tuple of its element indices at those assignments.
-Per letter this gives the generator and its key at each assignment;
-``coherence_equations``, ``check_coherence`` and ``evaluate_morphism`` read
-them one assignment at a time and test there, with the same
-``RelationError``, the equalities the letters need (equal ``beta`` labels,
-an identity ``delta`` label, the inverse ``c`` label).
+The scalars are read off the traced programs of ``relations``: per letter,
+its generator, its key at each assignment of the entry's symbols and its
+sign.  ``evaluate_morphism`` traces its tree as a template with one
+assignment.
 """
 from __future__ import annotations
 
@@ -32,129 +27,19 @@ from dataclasses import dataclass, field
 
 from .groups import FiniteGroup, GroupElement
 from .operad import CapExceeded
-from .relations import (GENERATORS, CompiledRelation, MorphismWord,
-                        RelationError, apply_generator, relation_entries,
-                        relation_report)
-from .trees import (GTree, InputLeaf, LabelEdge, Tensor, TreeError,
-                    _map_leaves, output_color, subtree_at, validate)
+from .relations import (_KEYS, GENERATORS, MorphismWord, _instances,
+                        _Program, relation_entries, relation_report)
+from .trees import GTree, output_color, validate
 
 
 class AlgebraError(ValueError):
     pass
 
 
-# the key components of a generator instance, read off its forward source:
-# the output color of the subtree at a path, or after "L" the label there
-_KEYS = {"alpha": ("00", "01", "1"), "ell": ("1",), "r": ("0",),
-         "beta": ("L0", "00", "10"), "gamma": ("L", "L0", "00"),
-         "delta": ("0",), "eps": ("L",), "c": ("0", "1")}
-
-
 def variable_order(group: FiniteGroup) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """Canonical flat ordering of all scalar variables for one group."""
     return tuple((gen, key) for gen in GENERATORS for key in
                  itertools.product(range(group.order), repeat=len(_KEYS[gen])))
-
-
-_CHUNK = 4096  # assignments traced at a time, so that tuples stay small
-
-
-class _Program:
-    """Morphism words applied once to a template of one group, on index
-    tuples.
-
-    Every color and label is the tuple of its element indices at each of
-    ``assignments``: a symbol is its column, a constant a repeated index, so
-    a concrete tree is a template with one empty assignment.  The rewrites
-    of ``relations._rewrite`` run on it elementwise through ``group.mul``
-    and ``group.conj`` (the flipped braiding, which needs ``inv``, is never
-    traced).  Per letter it keeps the generator, its keys by assignment and
-    its sign.  ``open`` keeps each equality a letter needs, and a shape
-    error, which ends its side; ``terms`` raises the first that fails.
-    """
-
-    def __init__(self, group: FiniteGroup, template: GTree, morphisms,
-                 symbols=(), assignments=((),)) -> None:
-        self.group, self.open, self.sides = group, [], []
-        self.unit = (0,) * len(assignments)
-        self.identity = lambda group: self.unit
-        columns = dict(zip(symbols, zip(*assignments)))
-
-        def indices(x) -> tuple[int, ...]:
-            return columns[x] if type(x) is str else (x.index,) * len(self.unit)
-
-        tree = _map_leaves(template, lambda leaf: InputLeaf(
-            leaf.slot, indices(leaf.color)), indices)
-        for morphism in morphisms:
-            current, terms = tree, []
-            try:
-                for letter in morphism.letters:
-                    after = apply_generator(current, letter, group, ops=self)
-                    # the key is read off the forward source, which is the
-                    # result of an inverse letter
-                    site = subtree_at(after if letter.inverse else current,
-                                      letter.path)
-                    keys = zip(*self._key(site, letter.gen))
-                    terms.append(([(letter.gen, key) for key in keys],
-                                  -1 if letter.inverse else 1))
-                    current = after
-            except (RelationError, TreeError) as exc:
-                self.open.append((None, None, type(exc), str(exc)))
-            self.sides.append(terms)
-
-    def mul(self, x, y) -> tuple[int, ...]:
-        mul = self.group.mul
-        return tuple([mul[a][b] for a, b in zip(x, y)])
-
-    def out(self, t: GTree, group=None) -> tuple[int, ...]:
-        """The output color of a tree of index tuples: its leaf colors
-        conjugated by the labels above them, in position order."""
-        mul, conj = self.group.mul, self.group.conj
-        acc, stack = self.unit, [(t, self.unit)]
-        while stack:
-            node, above = stack.pop()
-            if isinstance(node, Tensor):
-                stack += ((node.right, above), (node.left, above))
-            elif isinstance(node, LabelEdge):
-                stack.append((node.child, self.mul(above, node.label)))
-            elif isinstance(node, InputLeaf):
-                acc = tuple([mul[a][conj[h][g]]
-                             for a, h, g in zip(acc, above, node.color)])
-        return acc
-
-    def require(self, x, y, message: str) -> None:
-        if x != y:
-            self.open.append((x, y, RelationError, message))
-
-    def _key(self, site: GTree, gen: str):
-        """The key tuples of a generator instance at its forward source."""
-        for spec in _KEYS[gen]:
-            sub = subtree_at(site, tuple(map(int, spec.lstrip("L"))))
-            yield sub.label if spec[0] == "L" else self.out(sub)
-
-    def terms(self, i: int) -> list[list]:
-        """Per morphism, ``((gen, key), sign)`` per letter at assignment
-        ``i``; the first open equality or shape error failing there raises."""
-        for x, y, error, message in self.open:
-            if x is None or x[i] != y[i]:
-                raise error(message)
-        return [[(variables[i], sign) for variables, sign in side]
-                for side in self.sides]
-
-
-def _instances(group: FiniteGroup, entry: dict):
-    """``(values, lhs terms, rhs terms)`` per assignment of one entry, in
-    table order, from programs traced on the entry's template, one per
-    chunk of assignments."""
-    compiled = CompiledRelation(group, entry)
-    assignments = itertools.product(range(group.order),
-                                    repeat=len(entry["symbols"]))
-    while chunk := list(itertools.islice(assignments, _CHUNK)):
-        program = _Program(group, compiled.template,
-                           (compiled.lhs, compiled.rhs), entry["symbols"],
-                           chunk)
-        for i, values in enumerate(chunk):
-            yield (values, *program.terms(i))
 
 
 def _name(gen: str, key: tuple[int, ...]) -> str:
@@ -264,7 +149,8 @@ def coherence_equations(group: FiniteGroup, relation_ids=None):
     seen = set()
     equations = []
     for entry in relation_entries(relation_ids):
-        for _, left, right in _instances(group, entry):
+        for _, program, i in _instances(group, entry):
+            left, right = program.terms(i)
             coeffs: dict = {}
             for var, sign in left + [(var, -sign) for var, sign in right]:
                 coeffs[var] = coeffs.get(var, 0) + sign
@@ -280,9 +166,9 @@ def coherence_equations(group: FiniteGroup, relation_ids=None):
 
 
 def _coherence_outcomes(data: CrossedAlgebraData, entry: dict):
-    for values, *sides in _instances(data.group, entry):
+    for values, program, i in _instances(data.group, entry):
         left, right = (sum(sign * data.values[var] for var, sign in side)
-                       % data.modulus for side in sides)
+                       % data.modulus for side in program.terms(i))
         yield None if left == right else {
             "assignment": dict(zip(entry["symbols"], values)),
             "lhs": left,

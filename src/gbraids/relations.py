@@ -24,22 +24,22 @@ that the accumulated braid maps the source normal form to the target normal
 form under the decorated-tuple action.
 
 The table in ``relation_table.json`` lists the defining relations as pairs
-of parallel words; ``check_relation`` confirms that both sides reach the
-same target tree with equal braids, for every assignment of group elements
-to the free symbols.  ``mutate="braiding"`` reinterprets c on the left-hand
-side only as the *other* braiding — the rewrite T(A,B) -> T(B, L[|B|^-1]A)
-with the inverse block crossing — which is again internally consistent but
-must break every relation instance that braids something nontrivial.
+of parallel words; ``check_all_relations`` confirms that both sides reach
+the same target tree with equal braids, for every assignment of group
+elements to the free symbols.  ``mutate="braiding"`` reinterprets c on the
+left-hand side only as the *other* braiding — the rewrite
+T(A,B) -> T(B, L[|B|^-1]A) with the inverse block crossing — which is again
+internally consistent but must break every relation instance that braids
+something nontrivial.
 
-A ``CompiledRelation`` parses an entry's source once per group, into a
-template whose symbols stand in for elements, reads both words once and
-compares the two braids once, as a side's braid depends only on the shape.
-Each instance still applies every letter, compares the target trees and
-checks both braids against the normal forms, normalizing the source once.
-The rewrites compute and compare labels through an ``ops`` object,
-:class:`Elements` for trees of group elements; ``algebra`` passes its own
-to apply a word once to a template whose colors and labels are tuples of
-element indices, one per assignment of the symbols.
+Table instances are evaluated on traced programs, not trees: ``_instances``
+parses an entry's source once per group into a template whose symbols stand
+for elements, and ``_Program`` applies both words to it once per 4096
+assignments, by the same rewrites with elementwise label arithmetic on the
+tuple of element indices each color and label takes there.  Per word it
+keeps each letter's generator, keys and sign (the scalars of ``algebra``),
+the braid, the target and the normal forms that the check above needs at
+every instance.
 """
 from __future__ import annotations
 
@@ -55,23 +55,10 @@ from typing import Optional
 from .braids import BraidWord, block_transposition, braids_equal
 from .groups import FiniteGroup, GroupElement
 from .hurwitz import DecoratedTuple, braid_act
-from .trees import (
-    GTree,
-    InputLeaf,
-    LabelEdge,
-    Tensor,
-    TreeError,
-    UnitLeaf,
-    _map_leaves,
-    leaf_count,
-    leaf_offset,
-    normalize,
-    output_color,
-    parse_tree,
-    replace_at,
-    subtree_at,
-    tree_group,
-)
+from .trees import (GTree, InputLeaf, LabelEdge, Tensor, TreeError, UnitLeaf,
+                    _map_leaves, leaf_count, leaf_offset, normalize,
+                    output_color, parse_tree, replace_at, subtree_at,
+                    tree_group)
 
 GENERATORS = ("alpha", "ell", "r", "beta", "gamma", "delta", "eps", "c")
 
@@ -204,10 +191,10 @@ def apply_generator(tree: GTree, letter: MorphismLetter, group: FiniteGroup,
 
 def _c_braid_letters(tree: GTree, letter: MorphismLetter,
                      flip_braiding: bool) -> tuple[int, ...]:
+    """The braid shadow of a c letter that applies to ``tree``."""
     total = leaf_count(tree)
     offset = leaf_offset(tree, letter.path)
     sub = subtree_at(tree, letter.path)
-    _expect(isinstance(sub, Tensor), letter, sub)
     m, n = leaf_count(sub.left), leaf_count(sub.right)
     if letter.inverse == flip_braiding:
         return block_transposition(total, offset + 1, m, n).letters
@@ -215,47 +202,198 @@ def _c_braid_letters(tree: GTree, letter: MorphismLetter,
     return block_transposition(total, offset + 1, n, m).inverse().letters
 
 
+def _flip(mutate: Optional[str]) -> bool:
+    """Whether ``mutate`` flips the braiding; an unknown one raises."""
+    if mutate not in (None, "braiding"):
+        raise RelationError(f"unknown mutation {mutate!r}")
+    return mutate == "braiding"
+
+
+_INCONSISTENT = ("internal inconsistency: the accumulated braid does not "
+                 "carry the source normal form to the target normal form")
+
+
 @dataclass(frozen=True)
 class InterpretedMorphism:
     source: GTree
     target: GTree
     braid: BraidWord
-    source_nf: DecoratedTuple
-    target_nf: DecoratedTuple
-
-
-def _side(source: GTree, word: MorphismWord, group: FiniteGroup,
-          mutate: Optional[str], braid: Optional[BraidWord] = None,
-          source_nf: Optional[DecoratedTuple] = None) -> InterpretedMorphism:
-    """Apply the letters, then check that the braid carries the source
-    normal form to the target's; a given braid or source_nf is reused."""
-    if mutate not in (None, "braiding"):
-        raise RelationError(f"unknown mutation {mutate!r}")
-    flip = mutate == "braiding"
-    current, written = source, []
-    for letter in word.letters:
-        if braid is None and letter.gen == "c":
-            written[:0] = _c_braid_letters(current, letter, flip)
-        current = apply_generator(current, letter, group, flip)
-    if braid is None:
-        braid = BraidWord(leaf_count(source), tuple(written))
-    if source_nf is None:
-        source_nf = normalize(source, group)
-    target_nf = normalize(current, group)
-    if braid.strands > 0 and braid_act(braid, source_nf) != target_nf:
-        raise RelationError(
-            "internal inconsistency: the accumulated braid does not carry "
-            "the source normal form to the target normal form")
-    return InterpretedMorphism(source, current, braid, source_nf, target_nf)
 
 
 def interpret_morphism(source: GTree, word: MorphismWord,
                        group: Optional[FiniteGroup] = None,
                        mutate: Optional[str] = None) -> InterpretedMorphism:
+    """Apply the letters, then check that the braid carries the source
+    normal form to the target's."""
     g = tree_group(source) or group
     if g is None:
         raise RelationError("cannot interpret over an undetermined group")
-    return _side(source, word, g, mutate)
+    flip, current, written = _flip(mutate), source, []
+    for letter in word.letters:
+        after = apply_generator(current, letter, g, flip)
+        if letter.gen == "c":
+            written[:0] = _c_braid_letters(current, letter, flip)
+        current = after
+    braid = BraidWord(leaf_count(source), tuple(written))
+    source_nf, target_nf = normalize(source, g), normalize(current, g)
+    if braid.strands > 0 and braid_act(braid, source_nf) != target_nf:
+        raise RelationError(_INCONSISTENT)
+    return InterpretedMorphism(source, current, braid)
+
+
+# -- traced programs -----------------------------------------------------
+
+
+# the key components of a generator instance, read off its forward source:
+# the output color of the subtree at a path, or after "L" the label there
+_KEYS = {"alpha": ("00", "01", "1"), "ell": ("1",), "r": ("0",),
+         "beta": ("L0", "00", "10"), "gamma": ("L", "L0", "00"),
+         "delta": ("0",), "eps": ("L",), "c": ("0", "1")}
+
+_CHUNK = 4096  # assignments traced at a time, so that tuples stay small
+
+
+class _Program:
+    """Morphism words applied once to a template of one group (``mutate``
+    acting on the first), with every color and label the tuple of its
+    element indices at each assignment: a symbol is its column, a constant
+    a repeated index, and a concrete tree has one empty assignment.  Per
+    word, ``sides`` keeps each letter's generator, keys by assignment and
+    sign; ``open`` keeps, tagged with its word, each equality a letter
+    needs and a shape error, which ends the word."""
+
+    def __init__(self, group: FiniteGroup, template: GTree, morphisms,
+                 symbols=(), assignments=((),), mutate=None) -> None:
+        self.group, self.open, self.sides = group, [], []
+        self.braids, self.targets, self.forms = [], [], []
+        self.unit = (0,) * len(assignments)
+        columns = dict(zip(symbols, zip(*assignments)))
+
+        def indices(x) -> tuple[int, ...]:
+            return columns[x] if type(x) is str else (x.index,) * len(self.unit)
+
+        tree = _map_leaves(template, lambda leaf: InputLeaf(
+            leaf.slot, indices(leaf.color)), indices)
+        for self.word, morphism in enumerate(morphisms):
+            current, terms, written, forms = tree, [], [], None
+            try:
+                flip = self.word == 0 and _flip(mutate)
+                for letter in morphism.letters:
+                    after = apply_generator(current, letter, group, flip, self)
+                    if letter.gen == "c":
+                        written[:0] = _c_braid_letters(current, letter, flip)
+                    # the key is read off the forward source, which is the
+                    # result of an inverse letter
+                    site = subtree_at(after if letter.inverse else current,
+                                      letter.path)
+                    terms.append((letter.gen, list(zip(*self._key(
+                        site, letter.gen))), -1 if letter.inverse else 1))
+                    current = after
+                forms = self._form(tree), self._form(current)
+            except (RelationError, TreeError) as exc:
+                self.open.append((self.word, None, None, type(exc), str(exc)))
+            self.sides.append(terms)
+            self.braids.append(BraidWord(leaf_count(tree), tuple(written)))
+            self.targets.append(current)
+            self.forms.append(forms)
+
+    def mul(self, x, y) -> tuple[int, ...]:
+        mul = self.group.mul
+        return tuple([mul[a][b] for a, b in zip(x, y)])
+
+    def identity(self, group) -> tuple[int, ...]:
+        return self.unit
+
+    def inv(self, x) -> tuple[int, ...]:
+        return tuple([self.group.inv[a] for a in x])
+
+    def _leaves(self, t: GTree) -> list:
+        """``(slot, product of the labels above, color)`` per input leaf."""
+        entries, stack = [], [(t, self.unit)]
+        while stack:
+            node, above = stack.pop()
+            if isinstance(node, Tensor):
+                stack += ((node.right, above), (node.left, above))
+            elif isinstance(node, LabelEdge):
+                stack.append((node.child, self.mul(above, node.label)))
+            elif isinstance(node, InputLeaf):
+                entries.append((node.slot, above, node.color))
+        return entries
+
+    def out(self, t: GTree, group=None) -> tuple[int, ...]:
+        """The output color of a traced tree: its leaf colors conjugated by
+        the labels above them, in position order."""
+        mul, conj, acc = self.group.mul, self.group.conj, self.unit
+        for _, above, color in self._leaves(t):
+            acc = tuple([mul[a][conj[h][g]]
+                         for a, h, g in zip(acc, above, color)])
+        return acc
+
+    def _form(self, t: GTree):
+        """The normal form of a traced tree as a function of the assignment
+        index, which holds no reference to the program: a cycle would keep
+        the chunk alive until a full collection.  Slots other than 1..r,
+        each once, raise as in ``normalize``."""
+        entries = self._leaves(t)
+        images = [0] * len(entries)
+        for position, (slot, _, _) in enumerate(entries, start=1):
+            if not 1 <= slot <= len(entries) or images[slot - 1]:
+                raise TreeError(
+                    f"bad slot numbering {sorted(e[0] for e in entries)}")
+            images[slot - 1] = position
+        group, images = self.group, tuple(images)
+        hues = [e[2] for e in sorted(entries)]
+        return lambda i: DecoratedTuple._trusted(
+            group, images + tuple([e[1][i] for e in entries]),
+            tuple([g[i] for g in hues]))
+
+    def require(self, x, y, message: str) -> None:
+        if x != y:
+            self.open.append((self.word, x, y, RelationError, message))
+
+    def _key(self, site: GTree, gen: str):
+        """The key tuples of a generator instance at its forward source."""
+        for spec in _KEYS[gen]:
+            sub = subtree_at(site, tuple(map(int, spec.lstrip("L"))))
+            yield sub.label if spec[0] == "L" else self.out(sub)
+
+    def failure(self, i: int, w: Optional[int] = None):
+        """The first open error of word ``w``, or of any, failing at ``i``."""
+        for word, x, y, error, message in self.open:
+            if w in (None, word) and (x is None or x[i] != y[i]):
+                return error(message)
+        return None
+
+    def terms(self, i: int) -> list[list]:
+        """Per morphism, ``((gen, key), sign)`` per letter at assignment
+        ``i``; the first open equality or shape error failing there raises."""
+        if (error := self.failure(i)) is not None:
+            raise error
+        return [[((gen, keys[i]), sign) for gen, keys, sign in side]
+                for side in self.sides]
+
+    @functools.cached_property
+    def targets_differ(self) -> bool:
+        return self.targets[0] != self.targets[1]
+
+    def check(self, i: int) -> Optional[str]:
+        """Why the words disagree at ``i`` short of their braids, or None: a
+        side's failing letter or normal-form check, then the targets."""
+        source = None
+        for w, side in enumerate(("left", "right")):
+            error, braid = self.failure(i, w), self.braids[w]
+            if error is None and braid.strands > 0:
+                source = source or self.forms[w][0](i)
+                if braid_act(braid, source) != self.forms[w][1](i):
+                    error = _INCONSISTENT
+            if error is not None:
+                return f"{side} side: {error}"
+        if self.targets_differ:  # then compare the trees at i
+            left, right = (_map_leaves(t, lambda leaf: InputLeaf(
+                leaf.slot, leaf.color[i]), lambda h: h[i]) for t in self.targets)
+            if left != right:
+                return "targets differ"
+        return None
 
 
 # -- the relation table --------------------------------------------------
@@ -328,65 +466,41 @@ def relation_assignments(group: FiniteGroup, relation: dict):
         yield dict(zip(names, values))
 
 
-class CompiledRelation:
-    """One table entry over one group: the template, whose symbol colors and
-    labels are the symbol names, both words, and each side's braid, fixed
-    by the first instance at which the side applies."""
-
-    def __init__(self, group: FiniteGroup, relation: dict,
-                 mutate: Optional[str] = None):
-        self.group, self.relation, self.mutate = group, relation, mutate
-        names = {name: name for name in relation["symbols"]}
-        self.template = parse_tree(relation["source"], group,
-                                   dict(names, e=group.identity))
-        self.lhs = MorphismWord.from_json(relation["lhs"])
-        self.rhs = MorphismWord.from_json(relation["rhs"])
-        self.braids: list[Optional[BraidWord]] = [None, None]
-        self.braids_equal: Optional[bool] = None
-
-    def source(self, assignment: dict[str, GroupElement]) -> GTree:
-        """The template with each symbol name replaced by its element."""
-        def element(x):
-            return assignment[x] if type(x) is str else x
-        return _map_leaves(
-            self.template, lambda leaf: InputLeaf(leaf.slot, element(leaf.color)),
-            element)
-
-    def check(self, assignment: dict[str, GroupElement]) -> Optional[str]:
-        """None when the two sides agree; otherwise a short reason."""
-        source, source_nf, targets = self.source(assignment), None, []
-        sides = (("left", self.lhs, self.mutate), ("right", self.rhs, None))
-        for i, (side, word, mutate) in enumerate(sides):
-            try:
-                out = _side(source, word, self.group, mutate, self.braids[i],
-                            source_nf)
-            except (RelationError, TreeError) as exc:
-                return f"{side} side: {exc}"
-            self.braids[i], source_nf = out.braid, out.source_nf
-            targets.append(out.target)
-        if targets[0] != targets[1]:
-            return "targets differ"
-        if self.braids_equal is None:
-            self.braids_equal = braids_equal(*self.braids)
-        return None if self.braids_equal else "braids differ: {} vs {}".format(
-            *(str(b) or "e" for b in self.braids))  # e: the empty word
-
-    def outcomes(self, cap: Optional[int] = None):
-        """None or a failure per assignment, for the first ``cap`` of them."""
-        assignments = relation_assignments(self.group, self.relation)
-        for assignment in itertools.islice(assignments, cap):
-            reason = self.check(assignment)
-            yield None if reason is None else {
-                "assignment": {k: v.index for k, v in assignment.items()},
-                "reason": reason,
-            }
+def _instances(group: FiniteGroup, entry: dict, mutate: Optional[str] = None,
+               cap: Optional[int] = None):
+    """``(values, program, i)`` per assignment of one entry's symbols, in
+    order, for the first ``cap`` of them: ``program`` traces both words on
+    the entry's template for up to ``_CHUNK`` assignments, and the
+    assignment ``values`` is its ``i``-th."""
+    symbols = entry["symbols"]
+    template = parse_tree(entry["source"], group,
+                          dict(zip(symbols, symbols), e=group.identity))
+    words = [MorphismWord.from_json(entry[key]) for key in ("lhs", "rhs")]
+    assignments = itertools.islice(
+        itertools.product(range(group.order), repeat=len(symbols)), cap)
+    while chunk := list(itertools.islice(assignments, _CHUNK)):
+        program = _Program(group, template, words, symbols, chunk, mutate)
+        for i, values in enumerate(chunk):
+            yield values, program, i
 
 
-def check_relation(group: FiniteGroup, relation: dict,
-                   assignment: dict[str, GroupElement],
-                   mutate: Optional[str] = None) -> Optional[str]:
-    """None when the two sides agree; otherwise a short reason."""
-    return CompiledRelation(group, relation, mutate).check(assignment)
+def _outcomes(group: FiniteGroup, entry: dict, mutate: Optional[str] = None,
+              cap: Optional[int] = None):
+    """None or a failure per assignment of one entry, for the first ``cap``
+    of them.  A side's braid depends only on the template, so the two are
+    compared once, at the first instance that reaches them."""
+    symbols = entry["symbols"]
+    braids = None  # the braids' reason, "" when they are equal
+    for values, program, i in _instances(group, entry, mutate, cap):
+        reason = program.check(i)
+        if reason is None:
+            if braids is None:
+                braids = "" if braids_equal(*program.braids) else \
+                    "braids differ: {} vs {}".format(  # e: the empty word
+                        *(str(b) or "e" for b in program.braids))
+            reason = braids or None
+        yield None if reason is None else {
+            "assignment": dict(zip(symbols, values)), "reason": reason}
 
 
 def check_all_relations(group: FiniteGroup,
@@ -397,8 +511,8 @@ def check_all_relations(group: FiniteGroup,
     """Verify every table relation for every symbol assignment over the
     group, in deterministic order.  Returns a JSON-ready report."""
     results = [relation_report(
-        entry, CompiledRelation(group, entry, mutate).outcomes(assignment_cap),
-        max_reported) for entry in relation_entries(relation_ids)]
+        entry, _outcomes(group, entry, mutate, assignment_cap), max_reported)
+        for entry in relation_entries(relation_ids)]
     return {
         "group": group.label,
         "mutate": mutate,

@@ -6,14 +6,15 @@ import re
 import pytest
 
 from gbraids import algebra, relations, trees
-from gbraids.algebra import (AlgebraError, CrossedAlgebraData, _Program,
+from gbraids.algebra import (AlgebraError, CrossedAlgebraData,
                              builtin_group_example, check_coherence,
                              coherence_equations, evaluate_morphism,
                              evaluate_object, solve_coherence, variable_order)
 from gbraids.groups import make_group
 from gbraids.operad import CapExceeded
 from gbraids.relations import (GENERATORS, MorphismLetter, MorphismWord,
-                               RelationError, apply_generator, get_relation,
+                               RelationError, _Program, apply_generator,
+                               check_all_relations, get_relation,
                                load_relation_table, relation_assignments)
 from gbraids.trees import (InputLeaf, LabelEdge, Tensor, TreeError,
                            _map_leaves, output_color, parse_tree, random_tree,
@@ -205,9 +206,10 @@ def test_coherence_equations_pinned(spec):
 
 
 def test_equations_make_no_per_instance_tree_calls(monkeypatch):
-    """The table is traced once per entry: building the S3 equations makes
-    exactly as many apply_generator, _map_leaves and output_color calls as
-    building the C2 ones, whatever the number of instances."""
+    """The table is traced once per entry: building the S3 equations and
+    checking the S3 relations make exactly as many apply_generator,
+    _map_leaves and output_color calls as for C2, whatever the number of
+    instances."""
     counts = {}
 
     def counted(name, fn):
@@ -227,11 +229,13 @@ def test_equations_make_no_per_instance_tree_calls(monkeypatch):
         counts.update(dict.fromkeys(
             ("apply_generator", "_map_leaves", "output_color"), 0))
         coherence_equations(group)
+        assert check_all_relations(group)["total_failures"] == 0
         per_group[group.label] = dict(counts)
     table = load_relation_table()
     assert per_group["S3"] == per_group["C2"] == {
-        "apply_generator": sum(len(e["lhs"]) + len(e["rhs"]) for e in table),
-        "_map_leaves": len(table),
+        "apply_generator": 2 * sum(len(e["lhs"]) + len(e["rhs"])
+                                   for e in table),
+        "_map_leaves": 2 * len(table),
         "output_color": 0,
     }
 
@@ -243,13 +247,16 @@ def test_entries_are_traced_in_chunks(monkeypatch):
     traced = []
 
     class Recorded(_Program):
-        def __init__(self, group, template, morphisms, symbols, assignments):
+        def __init__(self, group, template, morphisms, symbols, assignments,
+                     mutate):
             traced.append(len(assignments))
-            super().__init__(group, template, morphisms, symbols, assignments)
+            super().__init__(group, template, morphisms, symbols, assignments,
+                             mutate)
 
-    monkeypatch.setattr(algebra, "_Program", Recorded)
+    monkeypatch.setattr(relations, "_Program", Recorded)
     entry = get_relation("pentagon")
-    values, left, right = next(algebra._instances(s4, entry))
+    values, program, i = next(relations._instances(s4, entry))
+    left, right = program.terms(i)
     assert len(traced) == 1 and 0 < traced[0] <= 4096
     source = parse_tree(entry["source"], s4,
                         {name: s4.identity for name in ("e", *entry["symbols"])})
@@ -262,9 +269,15 @@ def test_entries_are_traced_in_chunks(monkeypatch):
 def test_chunk_boundaries_do_not_move_results(monkeypatch):
     rng = random.Random(5)
     data = _random_data(C3, 4, rng)
-    expected = coherence_equations(C3), check_coherence(data)
-    monkeypatch.setattr(algebra, "_CHUNK", 5)
-    assert (coherence_equations(C3), check_coherence(data)) == expected
+
+    def results():
+        return (coherence_equations(C3), check_coherence(data),
+                check_all_relations(C3, mutate="braiding"),
+                check_all_relations(C3, mutate="braiding", assignment_cap=7))
+
+    expected = results()
+    monkeypatch.setattr(relations, "_CHUNK", 5)
+    assert results() == expected
 
 
 def test_solution_set_is_a_group_under_pointwise_sum():
@@ -521,7 +534,7 @@ def test_concrete_tree_is_traced_on_one_assignment():
     program = _Program(S3, src, (word,))
     [side] = program.sides
     assert program.unit == (0,) and not program.open
-    assert all(len(variables) == 1 for variables, _ in side)
+    assert all(len(keys) == 1 for _, keys, _ in side)
     assert evaluate_morphism(data, src, word) == _walk_scalar(data, src, word)
 
 

@@ -8,16 +8,16 @@ import pytest
 
 import gbraids
 
+from gbraids import relations
 from gbraids.groups import make_group
 from gbraids.relations import (
     RELATION_IDS,
-    CompiledRelation,
     MorphismLetter,
     MorphismWord,
     RelationError,
+    _outcomes,
     apply_generator,
     check_all_relations,
-    check_relation,
     get_relation,
     interpret_morphism,
     load_relation_table,
@@ -164,9 +164,13 @@ def test_mutated_braiding_breaks_braided_relations_only():
 
 def test_mutant_failure_reasons_are_informative():
     entry = get_relation("G9")
-    assignment = {"h": S3.element(0), "x1": S3.element(2), "x2": S3.element(5)}
-    reason = check_relation(S3, entry, assignment, mutate="braiding")
-    assert reason is not None
+    reasons = {tuple(outcome["assignment"].values()): outcome["reason"]
+               for outcome in _outcomes(S3, entry, mutate="braiding")
+               if outcome is not None}
+    # the flipped braiding leaves one label edge, not two, on the factor it
+    # moves to the left, where gamma merges two
+    assert reasons[(0, 2, 5)] == \
+        "left side: gamma does not apply at (0,): found LabelEdge"
 
 
 def test_assignment_cap():
@@ -270,16 +274,16 @@ DOUBLE_BRAIDING = {
 }
 
 
-def _compiled_outcomes(group, entry, mutate):
-    """The compiled checker's outcome per assignment, each with the fresh
+def _traced_outcomes(group, entry, mutate):
+    """The traced checker's reason per assignment, each with the fresh
     path's outcome and side braids."""
-    compiled = CompiledRelation(group, entry, mutate)
-    for assignment in relation_assignments(group, entry):
-        yield (assignment, compiled.check(assignment),
+    for assignment, traced in zip(relation_assignments(group, entry),
+                                  _outcomes(group, entry, mutate), strict=True):
+        yield (assignment, traced and traced["reason"],
                *_fresh_outcome(group, entry, assignment, mutate))
 
 
-@pytest.mark.parametrize("mutate", [None, "braiding"])
+@pytest.mark.parametrize("mutate", [None, "braiding", "x"])
 @pytest.mark.parametrize("spec", ["C2", "C3", "S3"])
 def test_compiled_checker_matches_a_fresh_parse(spec, mutate):
     group = make_group(spec)
@@ -290,7 +294,7 @@ def test_compiled_checker_matches_a_fresh_parse(spec, mutate):
     for entry in table + [DOUBLE_BRAIDING]:
         failures = []
         braids = ([], [])
-        for assignment, got, expected, side_braids in _compiled_outcomes(
+        for assignment, got, expected, side_braids in _traced_outcomes(
                 group, entry, mutate):
             assert got == expected, (entry["id"], assignment)
             if expected is not None:
@@ -304,19 +308,45 @@ def test_compiled_checker_matches_a_fresh_parse(spec, mutate):
         if entry in table:
             result = report["relations"][table.index(entry)]
             assert result["failures"] == failures
-        # what the compiled form relies on: a side's braid is one word for
+        # what the traced form relies on: a side's braid is one word for
         # every assignment at which the side applies
         for seen in braids:
             assert len(set(seen)) <= 1, entry["id"]
-    assert "braids differ" in reasons and "right side" in reasons
+    if mutate == "x":
+        assert reasons == {"left side"}
+    else:
+        assert "braids differ" in reasons and "right side" in reasons
 
 
 @pytest.mark.parametrize("spec", ["C2", "S3"])
 def test_braids_differ_reason_names_the_empty_word(spec):
-    group = make_group(spec)
-    compiled = CompiledRelation(group, DOUBLE_BRAIDING)
-    identity = {"x1": group.identity, "x2": group.identity}
-    assert compiled.check(identity) == "braids differ: e vs 1 1"
+    first = next(_outcomes(make_group(spec), DOUBLE_BRAIDING))
+    assert first == {"assignment": {"x1": 0, "x2": 0},
+                     "reason": "braids differ: e vs 1 1"}
+
+
+def test_wrong_braid_shadows_fail_the_normal_form_check(monkeypatch):
+    """A shadow that no longer matches the rewrite (here the inverse
+    letters) must fail the per-instance normal-form check, at the same
+    instances on the traced path as on a fresh parse."""
+    shadow = relations._c_braid_letters
+    monkeypatch.setattr(
+        relations, "_c_braid_letters", lambda *args: tuple(
+            -letter for letter in reversed(shadow(*args))))
+    ids = ["hexagon-right", "G9"]
+    report = check_all_relations(S3, ids, max_reported=S3.order ** 3)
+    for entry, result in zip(map(get_relation, ids), report["relations"]):
+        expected = []
+        for assignment in relation_assignments(S3, entry):
+            reason = _fresh_outcome(S3, entry, assignment, None)[0]
+            if reason is not None:
+                expected.append({
+                    "assignment": {k: v.index for k, v in assignment.items()},
+                    "reason": reason})
+        assert result["failures"] == expected
+        assert expected and all(
+            f["reason"].startswith("left side: internal inconsistency: ")
+            for f in expected), entry["id"]
 
 
 def test_import_does_not_read_the_table():
