@@ -104,7 +104,11 @@ def _parse_bounds(text: str) -> Bounds:
             if not eq or name not in fields:
                 raise ValueError(f"bad bounds entry {part!r} "
                                  "(want arity=..,order=..,cap=..)")
-            fields[name] = int(value)
+            try:
+                fields[name] = int(value)
+            except ValueError:
+                raise ValueError(f"bad bounds entry {part!r} "
+                                 "(not an integer)") from None
             if fields[name] < 0:
                 raise ValueError(f"bad bounds entry {part!r} (must be >= 0)")
     return Bounds(fields["arity"], fields["order"], fields["cap"])

@@ -40,6 +40,11 @@ class Arrow(NamedTuple):
     label: object
 
 
+# ``Arrow`` from one (source, target, label) tuple, built in C rather than
+# by the NamedTuple's Python-level ``__new__``
+_arrow = functools.partial(tuple.__new__, Arrow)
+
+
 @dataclass(eq=False)
 class FiniteGroupoidPresentation:
     objects: tuple
@@ -134,17 +139,17 @@ def grothendieck(system: FiberedSystem) -> FiniteGroupoidPresentation:
         g = base.compose(g1, g0)
         pulled = system.act_arrow(base.inverse(g0), f1)
         f = fibers[first.source[0]].compose(pulled, f0)
-        return Arrow(first.source, second.target, (g, f))
+        return _arrow((first.source, second.target, (g, f)))
 
     def identity(obj) -> Arrow:
         y, x = obj
-        return Arrow(obj, obj, (base.identity(y), fibers[y].identity(x)))
+        return _arrow((obj, obj, (base.identity(y), fibers[y].identity(x))))
 
     def inverse(arrow: Arrow) -> Arrow:
         g, f = arrow.label
         finv = fibers[arrow.source[0]].inverse(f)
-        return Arrow(arrow.target, arrow.source,
-                     (base.inverse(g), system.act_arrow(g, finv)))
+        return _arrow((arrow.target, arrow.source,
+                       (base.inverse(g), system.act_arrow(g, finv))))
 
     generators = []
     for y in base.objects:
@@ -152,12 +157,12 @@ def grothendieck(system: FiberedSystem) -> FiniteGroupoidPresentation:
         for x in fib.objects:
             for g in base.by_source.get(y, ()):
                 # horizontal lift: fiber part is an identity
-                generators.append(Arrow(
+                generators.append(_arrow((
                     (y, x), (g.target, system.act_object(g, x)),
-                    (g, fib.identity(x))))
+                    (g, fib.identity(x)))))
             for f in fib.by_source.get(x, ()):
-                generators.append(Arrow(
-                    (y, x), (y, f.target), (base.identity(y), f)))
+                generators.append(_arrow((
+                    (y, x), (y, f.target), (base.identity(y), f))))
     return FiniteGroupoidPresentation(objects, tuple(generators),
                                       compose, identity, inverse)
 
@@ -184,17 +189,17 @@ def permutation_base(r: int) -> FiniteGroupoidPresentation:
     objects, times, inverse_word, moves = _braid_side(r)
 
     def compose(second: Arrow, first: Arrow) -> Arrow:
-        return Arrow(first.source, second.target,
-                     times(second.label.letters, first.label.letters))
+        return _arrow((first.source, second.target,
+                       times(second.label.letters, first.label.letters)))
 
     def identity(sigma) -> Arrow:
-        return Arrow(sigma, sigma, BraidWord.identity(r))
+        return _arrow((sigma, sigma, BraidWord.identity(r)))
 
     def inverse(arrow: Arrow) -> Arrow:
-        return Arrow(arrow.target, arrow.source,
-                     inverse_word(arrow.label.letters))
+        return _arrow((arrow.target, arrow.source,
+                       inverse_word(arrow.label.letters)))
 
-    generators = tuple(Arrow(y, tuple([t[v - 1] for v in y]), word)
+    generators = tuple(_arrow((y, tuple([t[v - 1] for v in y]), word))
                        for y in objects for _, t, word in moves)
     return FiniteGroupoidPresentation(objects, generators,
                                       compose, identity, inverse)
@@ -206,17 +211,18 @@ def conjugation_fiber(group: FiniteGroup, r: int) -> FiniteGroupoidPresentation:
     objects = tuple(itertools.product(range(group.order), repeat=r))
 
     def compose(second: Arrow, first: Arrow) -> Arrow:
-        return Arrow(first.source, second.target,
-                     second.label * first.label)
+        return _arrow((first.source, second.target,
+                       second.label * first.label))
 
     def identity(x) -> Arrow:
-        return Arrow(x, x, group.identity)
+        return _arrow((x, x, group.identity))
 
     def inverse(arrow: Arrow) -> Arrow:
-        return Arrow(arrow.target, arrow.source, arrow.label.inverse())
+        return _arrow((arrow.target, arrow.source, arrow.label.inverse()))
 
-    generators = tuple(Arrow(x, tuple([group.conj[h.index][v] for v in x]),
-                             h) for x in objects for h in group)
+    generators = tuple(
+        _arrow((x, tuple([group.conj[h.index][v] for v in x]), h))
+        for x in objects for h in group)
     return FiniteGroupoidPresentation(objects, generators,
                                       compose, identity, inverse)
 
@@ -231,8 +237,8 @@ def hurwitz_fibered_system(group: FiniteGroup, r: int) -> FiberedSystem:
         return x
 
     def act_arrow(g: Arrow, f: Arrow) -> Arrow:
-        return Arrow(act(g.label.letters, f.source),
-                     act(g.label.letters, f.target), f.label)
+        return _arrow((act(g.label.letters, f.source),
+                       act(g.label.letters, f.target), f.label))
 
     return FiberedSystem(permutation_base(r), lambda y: fiber,
                          lambda g, x: act(g.label.letters, x), act_arrow)
@@ -248,25 +254,26 @@ def hurwitz_direct_presentation(group: FiniteGroup, r: int) -> FiniteGroupoidPre
 
     def compose(second: Arrow, first: Arrow) -> Arrow:
         (c0, h0), (c1, h1) = first.label, second.label
-        return Arrow(first.source, second.target,
-                     (times(c1.letters, c0.letters), h1 * h0))
+        return _arrow((first.source, second.target,
+                       (times(c1.letters, c0.letters), h1 * h0)))
 
     def identity(obj) -> Arrow:
-        return Arrow(obj, obj, (unit, group.identity))
+        return _arrow((obj, obj, (unit, group.identity)))
 
     def inverse(arrow: Arrow) -> Arrow:
         c, h = arrow.label
-        return Arrow(arrow.target, arrow.source,
-                     (inverse_word(c.letters), h.inverse()))
+        return _arrow((arrow.target, arrow.source,
+                       (inverse_word(c.letters), h.inverse())))
 
     generators = []
     for obj in objects:
         y, x = obj
-        generators += [Arrow(obj, (tuple([t[v - 1] for v in y]),
-                                   _move(x, j, group, None)),
-                             (word, group.identity)) for j, t, word in moves]
-        generators += [Arrow(obj, (y, tuple([group.conj[h.index][v]
-                                             for v in x])), (unit, h))
+        generators += [_arrow((obj, (tuple([t[v - 1] for v in y]),
+                                     _move(x, j, group, None)),
+                               (word, group.identity)))
+                       for j, t, word in moves]
+        generators += [_arrow((obj, (y, tuple([group.conj[h.index][v]
+                                               for v in x])), (unit, h)))
                        for h in group]
     return FiniteGroupoidPresentation(objects, tuple(generators),
                                       compose, identity, inverse)

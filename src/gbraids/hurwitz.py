@@ -31,11 +31,15 @@ indices.  One state move serves :func:`hurwitz_generator`, :func:`braid_act`
 and the orbit search, which follows the positive generators alone: the braid
 group acts on a finite set, so each generator permutes it with some finite
 order k, and its inverse is its (k-1)-st power.
+
+A colored point also carries the index of its boundary output in ``out``,
+set by the builders that know it by construction and otherwise stored by
+``_output`` on first use; it takes no part in equality, order or hashing.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .braids import BraidWord, Permutation
@@ -61,6 +65,7 @@ class DecoratedTuple:
     group: Optional[FiniteGroup]  # None for a point with no entries
     state: tuple[int, ...]
     hues: Optional[tuple[int, ...]]
+    out: Optional[int] = field(default=None, compare=False, repr=False)
 
     def __init__(self, b, sigma=None, colors=None):
         self.__post_init__(b, sigma, colors)
@@ -79,19 +84,22 @@ class DecoratedTuple:
             images, hues = sigma.images, tuple(c.index for c in colors)
         group = entries[0].group if entries else None
         _require_group(group, entries)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "state", images + tuple(e.index for e in b))
-        object.__setattr__(self, "hues", hues)
+        _set_group(self, group)
+        _set_state(self, images + tuple(e.index for e in b))
+        _set_hues(self, hues)
+        _set_out(self, None)
 
     @classmethod
-    def _trusted(cls, group, state, hues=None) -> "DecoratedTuple":
+    def _trusted(cls, group, state, hues=None, out=None) -> "DecoratedTuple":
         """Build without the checks of ``__post_init__``, for callers whose
-        state and hues are already valid indices of ``group``."""
+        state and hues are already valid indices of ``group``, and whose
+        ``out``, when given, is the index of the boundary output."""
         x = object.__new__(cls)
         # a point with no entries has no group, as in its checked build
-        object.__setattr__(x, "group", group if state else None)
-        object.__setattr__(x, "state", state)
-        object.__setattr__(x, "hues", hues)
+        _set_group(x, group if state else None)
+        _set_state(x, state)
+        _set_hues(x, hues)
+        _set_out(x, out)
         return x
 
     @property
@@ -132,6 +140,14 @@ class DecoratedTuple:
         return f"[{','.join(map(str, images))}]({body})"
 
 
+# The slots' own setters: they skip the frozen class's ``__setattr__`` and
+# the lookup by name that ``object.__setattr__`` makes, which were most of
+# the cost of building a point.
+_set_group, _set_state, _set_hues, _set_out = (
+    DecoratedTuple.group.__set__, DecoratedTuple.state.__set__,
+    DecoratedTuple.hues.__set__, DecoratedTuple.out.__set__)
+
+
 @dataclass(frozen=True)
 class ColorSignature:
     inputs: tuple[GroupElement, ...]
@@ -158,9 +174,14 @@ def _arriving(images, hues) -> list[int]:
 
 
 def _output(x: DecoratedTuple) -> int:
-    """Index of the boundary output of a colored point with entries."""
-    r = len(x.hues)
-    return _holonomy(x.group, zip(x.state[r:], _arriving(x.state, x.hues)))
+    """Index of the boundary output of a colored point with entries: the
+    carried one, or else computed once and stored."""
+    out = x.out
+    if out is None:
+        r = len(x.hues)
+        out = _holonomy(x.group, zip(x.state[r:], _arriving(x.state, x.hues)))
+        _set_out(x, out)
+    return out
 
 
 def color_condition(sigma: Permutation, b: tuple[GroupElement, ...],
@@ -278,7 +299,7 @@ def component_objects(colors: tuple[GroupElement, ...],
     r = len(colors)
     hues = tuple(c.index for c in colors)
     if r == 0:
-        empty = DecoratedTuple._trusted(group, (), ())
+        empty = DecoratedTuple._trusted(group, (), (), output.index)
         return [empty] if output.is_identity() else []
     mul, inv, conj = group.mul, group.inv, group.conj
     # roots[g][h]: the x with x g x^-1 = h, ascending
@@ -296,7 +317,7 @@ def component_objects(colors: tuple[GroupElement, ...],
             acc = _holonomy(group, zip(head, arriving))  # positions 1..r-1
             for x in last.get(mul[inv[acc]][output.index], ()):
                 out.append(DecoratedTuple._trusted(
-                    group, images + head + (x,), hues))
+                    group, images + head + (x,), hues, output.index))
     return out
 
 

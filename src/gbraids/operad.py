@@ -14,6 +14,12 @@ with ``|G|^(2r) r!``.
 
 A report is complete when every stream was exhausted below the cap;
 otherwise it is a capped prefix of the (fixed) enumeration order.
+
+A normal form carries the index of its output color (``sigma_action``
+keeps it), so ``compose_normal`` checks an inner operand drawn from a
+component by one comparison of two ints.  The associativity streams compose
+each partial composite ``x o_j y`` once and share it across the instances
+that differ only in ``z``; each side of an instance is still built in full.
 """
 from __future__ import annotations
 
@@ -50,8 +56,8 @@ def sigma_action(x: DecoratedTuple, rho: Permutation) -> DecoratedTuple:
         raise OperadError("permutation size does not match arity")
     images, b = x.sort_key()
     return DecoratedTuple._trusted(
-        x.group, tuple(images[k - 1] for k in rho.images) + b,
-        tuple(x.hues[k - 1] for k in rho.images))
+        x.group, tuple([images[k - 1] for k in rho.images]) + b,
+        tuple([x.hues[k - 1] for k in rho.images]), x.out)
 
 
 @lru_cache(maxsize=256)
@@ -91,10 +97,10 @@ def _sequential_instances(group, bounds):
                     for cy in itertools.product(elements, repeat=s):
                         for y in _component(cy, need):
                             inner_need = elements[y.hues[k - 1]]
+                            xy = compose_normal(x, j, y)
                             for cz in itertools.product(elements, repeat=t):
                                 for z in _component(cz, inner_need):
-                                    lhs = compose_normal(
-                                        compose_normal(x, j, y), j + k - 1, z)
+                                    lhs = compose_normal(xy, j + k - 1, z)
                                     rhs = compose_normal(
                                         x, j, compose_normal(y, k, z))
                                     yield None if lhs == rhs else \
@@ -111,10 +117,10 @@ def _parallel_instances(group, bounds):
                 for x in all_operations(group, r):
                     for cy in itertools.product(elements, repeat=s):
                         for y in _component(cy, elements[x.hues[j - 1]]):
+                            xy = compose_normal(x, j, y)
                             for cz in itertools.product(elements, repeat=t):
                                 for z in _component(cz, elements[x.hues[i - 1]]):
-                                    lhs = compose_normal(
-                                        compose_normal(x, j, y), i + s - 1, z)
+                                    lhs = compose_normal(xy, i + s - 1, z)
                                     rhs = compose_normal(
                                         compose_normal(x, i, z), j, y)
                                     yield None if lhs == rhs else \

@@ -17,9 +17,11 @@ component objects.
 
 Grafting substitutes a tree for an input leaf of matching color;
 ``compose_normal`` performs the same operation directly on the index states
-of normal forms: it checks the inner output color by the holonomy product,
-splices the inner positions into the outer position of the replaced slot
-and left-multiplies the inner decorations by the outer one.
+of normal forms: it checks the inner output color (the one the inner form
+carries, or else its holonomy product, computed once and stored), splices
+the inner positions into the outer position of the replaced slot and
+left-multiplies the inner decorations by the outer one.  The composite
+carries the outer form's output color, which grafting preserves.
 """
 from __future__ import annotations
 
@@ -253,7 +255,8 @@ def denormalize(nf: NormalForm) -> GTree:
 
 
 def identity_normal_form(color: GroupElement) -> NormalForm:
-    return NormalForm._trusted(color.group, (1, 0), (color.index,))  # b = e
+    return NormalForm._trusted(color.group, (1, 0), (color.index,),  # b = e
+                               color.index)
 
 
 def _map_leaves(t: GTree, leaf, label=lambda h: h) -> GTree:
@@ -316,14 +319,17 @@ def compose_normal(outer: NormalForm, j: int, inner: NormalForm) -> NormalForm:
     if inner.group is not group or _output(inner) != outer.hues[j - 1]:
         raise TreeError("output color of the grafted tree does not match")
     # slot j, at outer position P, opens into the inner slots and positions
-    outer_images, outer_b = outer.state[:r], outer.state[r:]
-    P = outer_images[j - 1]
-    images = [p + s - 1 if p > P else p for p in outer_images]
-    images[j - 1:j] = [P + q - 1 for q in inner.state[:s]]
-    row = group.mul[outer_b[P - 1]]
-    b = outer_b[:P - 1] + tuple([row[x] for x in inner.state[s:]]) + outer_b[P:]
+    state, inner_state = outer.state, inner.state
+    P = state[j - 1]
+    images = [p + s - 1 if p > P else p for p in state[:r]]
+    images[j - 1:j] = map((P - 1).__add__, inner_state[:s])
+    k = r + P - 1  # where b_P sits
+    row = group.mul[state[k]]
     hues = outer.hues[:j - 1] + inner.hues + outer.hues[j:]
-    return NormalForm._trusted(group, tuple(images) + b, hues)
+    # the spliced positions contribute b_P g b_P^-1, as slot j did
+    return NormalForm._trusted(
+        group, (*images, *state[r:k], *map(row.__getitem__, inner_state[s:]),
+                *state[k + 1:]), hues, outer.out)
 
 
 # -- concrete syntax -----------------------------------------------------

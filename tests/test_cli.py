@@ -305,14 +305,17 @@ def test_cap_exit_codes(capsys):
 
 
 def test_bad_bounds_is_usage_error(capsys):
-    for argv, entry in [(["check", "--group", "C2"], "nonsense=1"),
-                        (["check", "--group", "C2", "--operad"], "arity=-2"),
-                        (["check", "--group", "C2", "--relations", "triangle"],
-                         "cap=-1")]:
+    for argv, entry, why in [
+            (["check", "--group", "C2"], "nonsense=1", "(want arity="),
+            (["check", "--group", "C2", "--operad"], "arity=-2", "(must be"),
+            (["check", "--group", "C2", "--relations", "triangle"], "cap=-1",
+             "(must be"),
+            (["check", "--group", "C2", "--operad"], "arity=x",
+             "(not an integer)")]:
         with pytest.raises(SystemExit) as err:
             main(argv + ["--bounds", entry])
         assert err.value.code == 2
-        assert f"bad bounds entry {entry!r}" in capsys.readouterr().err
+        assert f"bad bounds entry {entry!r} {why}" in capsys.readouterr().err
 
 
 def test_flatten_and_render():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,11 +6,12 @@ import pytest
 import gbraids.operad
 from gbraids.braids import BraidWord, Permutation, all_permutations, cable_compose
 from gbraids.groups import make_group
-from gbraids.hurwitz import (DecoratedTuple, braid_act, color_condition,
-                             component_objects, orbit, pi0_component)
-from gbraids.operad import (Bounds, OperadError, check_operad_axioms,
-                            sigma_action)
-from gbraids.trees import compose_normal, identity_normal_form
+from gbraids.hurwitz import (DecoratedTuple, _output, braid_act,
+                             color_condition, component_objects, orbit,
+                             pi0_component)
+from gbraids.operad import (Bounds, OperadError, all_operations,
+                            check_operad_axioms, sigma_action)
+from gbraids.trees import TreeError, compose_normal, identity_normal_form
 
 S3 = make_group("S3")
 C2 = make_group("C2")
@@ -75,6 +77,51 @@ def test_identity_is_the_trivial_decoration():
     assert output(one) == g
 
 
+@pytest.mark.parametrize("spec, max_r", [("C2", 3), ("S3", 2)])
+def test_carried_output_is_the_holonomy_product(spec, max_r):
+    # every point is in exactly one component; the oracle is color_condition
+    group = make_group(spec)
+    els = group.elements()
+    for c in els:
+        unit = identity_normal_form(c)
+        assert unit.out == c.index == output(unit).index
+    for r in range(1, max_r + 1):
+        perms = all_permutations(r)
+        points = []
+        for colors in itertools.product(els, repeat=r):
+            for g in els:
+                for x in component_objects(colors, g):
+                    assert x.out == g.index == output(x).index
+                    checked = DecoratedTuple(x.b, x.sigma, x.colors)
+                    assert checked.out is None
+                    assert x == checked and hash(x) == hash(checked)
+                    assert not x < checked and not checked < x
+                    points.append(x)
+        assert sorted(points) == sorted(all_operations(group, r))
+        for x in points:
+            for rho in perms:
+                moved = sigma_action(x, rho)
+                assert moved.out == output(moved).index
+            for j in range(1, r + 1):
+                need = els[x.hues[j - 1]]
+                for s in range(1, max_r):
+                    for colors in itertools.product(els, repeat=s):
+                        for y in component_objects(colors, need):
+                            z = compose_normal(x, j, y)
+                            assert z.out == output(z).index
+
+
+def test_compose_normal_checks_a_memoized_inner_output():
+    g, h = S3.element(1), S3.element(2)
+    x = identity_normal_form(g)
+    built = component_objects((h,), h)[0]
+    memoized = DecoratedTuple(built.b, built.sigma, built.colors)
+    assert _output(memoized) == memoized.out == h.index
+    for y in (built, memoized):
+        with pytest.raises(TreeError):
+            compose_normal(x, 1, y)
+
+
 def test_sigma_action_is_a_right_action():
     rng = random.Random(7)
     perms = all_permutations(3)
@@ -109,7 +156,15 @@ def test_group_order_bound_enforced():
         check_operad_axioms(make_group("D4"), Bounds(max_order=6))
 
 
-def test_axioms_complete_on_c2_arity_two():
+def test_axioms_complete_on_c2_arity_two(monkeypatch):
+    calls = 0
+
+    def counted(x, j, y):
+        nonlocal calls
+        calls += 1
+        return compose_normal(x, j, y)
+
+    monkeypatch.setattr(gbraids.operad, "compose_normal", counted)
     report = check_operad_axioms(
         C2, Bounds(max_arity=2, max_order=6, cap=200_000))
     assert report["complete"] is True
@@ -121,6 +176,9 @@ def test_axioms_complete_on_c2_arity_two():
         "units": 36,
         "equivariance": 4688,
     }
+    # the associativity streams compose x o_j y once per (x, y), shared
+    # across every z
+    assert calls == 171_208
 
 
 def test_axioms_complete_on_s3_arity_one():

@@ -13,10 +13,10 @@ from gbraids.braids import (BraidWord, Permutation, all_permutations,
                             cable_compose, cable_permutation, braids_equal,
                             normal_form, underlying_permutation)
 from gbraids.groups import make_group
-from gbraids.hurwitz import (DecoratedTuple, bare_space, boundary_colors,
-                             braid_act, color_condition, component_objects,
-                             conjugate_act, hurwitz_generator, orbit,
-                             partition)
+from gbraids.hurwitz import (DecoratedTuple, _output, bare_space,
+                             boundary_colors, braid_act, color_condition,
+                             component_objects, conjugate_act,
+                             hurwitz_generator, orbit, partition)
 from gbraids.operad import all_operations, sigma_action
 from gbraids.trees import compose_normal, denormalize, normalize, output_color, random_tree
 
@@ -155,12 +155,17 @@ def test_splice_associativity(x, data):
 
 def _same_as_checked_build(y, component=None):
     """y equals, and hashes like, its rebuild through the checked
-    constructors, and is found by hash in its component when one is given."""
+    constructors, and is found by hash in its component when one is given.
+    A colored y with entries has the rebuild's output, which the rebuild
+    computes afresh and y may carry."""
     sigma = None if y.sigma is None else Permutation(y.sigma.images)
     z = DecoratedTuple(y.b, sigma, y.colors)
     assert y == z and z == y
     assert hash(y) == hash(z)
     assert component is None or y in component
+    if not y.is_bare() and y.size:
+        assert z.out is None
+        assert _output(y) == _output(z)
 
 
 @given(st.sampled_from(("S3", "D4")), st.integers(1, 4), st.data())
@@ -199,6 +204,9 @@ def test_checked_and_trusted_builds_are_the_same_value(spec, r, data):
             _same_as_checked_build(y, bare)
     rho = data.draw(st.sampled_from(tuple(all_permutations(r))))
     _same_as_checked_build(sigma_action(x, rho))
+    # points of a component carry their output from component_objects
+    for y in itertools.islice(sorted(points), 0, None, 97):
+        _same_as_checked_build(sigma_action(y, rho))
     for y in itertools.islice(all_operations(group, min(r, 2)), 0, None, 97):
         _same_as_checked_build(y)
     nf = normalize(random_tree(group, r, data.draw(st.randoms())))
@@ -211,6 +219,10 @@ def test_checked_and_trusted_builds_are_the_same_value(spec, r, data):
         color_condition(y.sigma, y.b, y.colors) if i == j - 1 else c
         for i, c in enumerate(x.colors)))
     composite = compose_normal(x, j, y)
+    _same_as_checked_build(composite, component(composite))
+    _output(x)  # stored now, so the composite carries it
+    composite = compose_normal(x, j, y)
+    assert composite.out is not None
     _same_as_checked_build(composite, component(composite))
     images = tuple(data.draw(st.permutations(range(1, r + 1))))
     assert Permutation(images) == Permutation._trusted(images)
