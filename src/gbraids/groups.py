@@ -14,14 +14,18 @@ Conventions used throughout the package:
 
 Groups are validated eagerly on construction (associativity, identity,
 inverses), which is O(order^3) and fine at the scale this package targets
-(order <= 24 or so).
+(order <= 24 or so); ``make_group`` refuses orders above ``MAX_ORDER``.
 """
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
+
+from .braids import Permutation, all_permutations
+
+MAX_ORDER = 256  # validation is O(order^3): about a second at this order
 
 
 class GroupError(ValueError):
@@ -195,25 +199,16 @@ def _from_mul(order, mul, label) -> FiniteGroup:
 # -- constructors --------------------------------------------------------
 
 
-def _compose_perm(p, q):
-    # (p*q)(i) = p(q(i)): apply q first
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
 def _group_from_permutations(perms, label) -> FiniteGroup:
-    """Index the given closed set of permutations in lexicographic order."""
-    elems = sorted(set(perms))
-    if elems[0] != tuple(range(len(elems[0]))):
-        raise GroupError("permutation set lacks the identity as lex minimum")
+    """Index a closed set of permutations, the identity among them, in
+    lexicographic order; ``p @ q`` applies q first."""
+    elems = sorted(set(perms), key=lambda p: p.images)
     index = {p: i for i, p in enumerate(elems)}
     mul = []
     for p in elems:
         row = []
         for q in elems:
-            pq = _compose_perm(p, q)
-            if pq not in index:
-                raise GroupError("permutation set not closed under composition")
-            row.append(index[pq])
+            row.append(index[p @ q])
         mul.append(tuple(row))
     return _from_mul(len(elems), mul, label)
 
@@ -224,8 +219,7 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def symmetric_group(n: int) -> FiniteGroup:
-    perms = itertools.permutations(range(n))
-    return _group_from_permutations(perms, f"S{n}")
+    return _group_from_permutations(all_permutations(n), f"S{n}")
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -239,14 +233,9 @@ def dihedral_group(n: int) -> FiniteGroup:
             mul = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
             return _from_mul(4, mul, "D2")
         raise GroupError("dihedral index must be >= 1")
-    rot = tuple((i + 1) % n for i in range(n))
-    ref = tuple((-i) % n for i in range(n))
-    perms = set()
-    p = tuple(range(n))
-    for _ in range(n):
-        perms.add(p)
-        perms.add(_compose_perm(ref, p))
-        p = _compose_perm(rot, p)
+    # vertex i goes to s*i + k mod n: n rotations (s = 1), n reflections
+    perms = [Permutation(tuple((s * i + k) % n + 1 for i in range(n)))
+             for s in (1, -1) for k in range(n)]
     return _group_from_permutations(perms, f"D{n}")
 
 
@@ -265,27 +254,29 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     return _from_mul(order, mul, f"{a.label}x{b.label}")
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def make_group(spec: str) -> FiniteGroup:
-    """Build a group from a descriptor: C<n>, S<n>, D<n>, or products like C2xS3."""
+    """Build a group from a descriptor: C<n>, S<n>, D<n>, or products like
+    C2xS3; one of order above ``MAX_ORDER`` raises before any is built."""
     spec = spec.strip()
     if not spec:
         raise GroupError("empty group spec")
-    parts = spec.split("x")
+    parts, order = spec.split("x"), 1
+    for part in map(str.strip, parts):
+        family, num = part[:1], part[1:]
+        if family not in ("C", "S", "D") or not num.isdigit() or int(num) < 1:
+            raise GroupError(f"unrecognized group spec {part!r}")
+        n = int(num)  # 21! > 2^64, the most that is named below
+        order *= n if family == "C" else 2 * n if family == "D" else \
+            math.factorial(min(n, 21))
+    if order > MAX_ORDER:
+        raise GroupError(f"group {spec!r} has order "
+                         f"{order if order < 2 ** 64 else 'over 2^64'}, "
+                         f"above the limit of {MAX_ORDER}")
     if len(parts) > 1:
-        grp = make_group(parts[0])
-        for part in parts[1:]:
-            grp = direct_product(grp, make_group(part))
-        return grp
-    family, num = spec[0], spec[1:]
-    if family not in "CSD" or not num.isdigit() or int(num) < 1:
-        raise GroupError(f"unrecognized group spec {spec!r}")
-    n = int(num)
-    if family == "C":
-        return cyclic_group(n)
-    if family == "S":
-        return symmetric_group(n)
-    return dihedral_group(n)
+        return functools.reduce(direct_product, map(make_group, parts))
+    return {"C": cyclic_group, "S": symmetric_group,
+            "D": dihedral_group}[family](n)
 
 
 def read_group_table(path) -> FiniteGroup:

@@ -19,9 +19,9 @@ c         T(A,B) -> T(L[|A|]B, A)                     invertible
 n for the leaf counts of the two children and q for the number of leaves to
 the left, it contributes the positive block crossing of the m leaves over
 the n leaves at offset q (the inverse letter contributes the inverse braid).
-``interpret_morphism`` accumulates these contributions and always re-checks
-that the accumulated braid maps the source normal form to the target normal
-form under the decorated-tuple action.
+A word's braid accumulates these contributions, and is always re-checked
+to map the source normal form to the target normal form under the
+decorated-tuple action.
 
 The table in ``relation_table.json`` lists the defining relations as pairs
 of parallel words; ``check_all_relations`` confirms that both sides reach
@@ -32,14 +32,14 @@ T(A,B) -> T(B, L[|B|^-1]A) with the inverse block crossing — which is again
 internally consistent but must break every relation instance that braids
 something nontrivial.
 
-Table instances are evaluated on traced programs, not trees: ``_instances``
-parses an entry's source once per group into a template whose symbols stand
-for elements, and ``_Program`` applies both words to it once per 4096
-assignments, by the same rewrites with elementwise label arithmetic on the
-tuple of element indices each color and label takes there.  Per word it
-keeps each letter's generator, keys and sign (the scalars of ``algebra``),
-the braid, the target and the normal forms that the check above needs at
-every instance.
+Words are evaluated on traced programs, not trees: ``_Program`` applies
+them to a template once per 4096 assignments of its symbols, with every
+color and label the tuple of element indices it takes there.  ``_instances``
+parses a table entry's source once per group into such a template, and
+``interpret_morphism`` traces a concrete tree as one with one assignment.
+Per word the program keeps each letter's generator, keys and sign (the
+scalars of ``algebra``), the braid, the target and the normal forms that
+the check above needs at every instance.
 """
 from __future__ import annotations
 
@@ -47,18 +47,16 @@ import copy
 import functools
 import itertools
 import json
-import operator
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
 from .braids import BraidWord, block_transposition, braids_equal
-from .groups import FiniteGroup, GroupElement
+from .groups import FiniteGroup
 from .hurwitz import DecoratedTuple, braid_act
 from .trees import (GTree, InputLeaf, LabelEdge, Tensor, TreeError, UnitLeaf,
-                    _map_leaves, leaf_count, leaf_offset, normalize,
-                    output_color, parse_tree, replace_at, subtree_at,
-                    tree_group)
+                    _by_slot, _checked_leaves, _map_leaves, leaf_count,
+                    leaf_offset, parse_tree, replace_at, subtree_at)
 
 GENERATORS = ("alpha", "ell", "r", "beta", "gamma", "delta", "eps", "c")
 
@@ -95,21 +93,10 @@ def _expect(condition: bool, letter: MorphismLetter, found: GTree):
             f"apply at {letter.path}: found {type(found).__name__}")
 
 
-class Elements:
-    """The label arithmetic of ``_rewrite`` on trees of group elements; an
-    equality a letter needs raises :class:`RelationError` when it fails."""
-    out = staticmethod(lambda t, group: output_color(t, group))
-    mul, inv = staticmethod(operator.mul), staticmethod(GroupElement.inverse)
-    identity = staticmethod(operator.attrgetter("identity"))
-
-    @staticmethod
-    def require(x: GroupElement, y: GroupElement, message: str) -> None:
-        if x is not y:
-            raise RelationError(message)
-
-
-def _rewrite(sub: GTree, letter: MorphismLetter, group: FiniteGroup,
-             flip_braiding: bool, ops=Elements) -> GTree:
+def _rewrite(sub: GTree, letter: MorphismLetter, flip_braiding: bool,
+             ops) -> GTree:
+    """``sub`` rewritten by ``letter``, its labels computed by ``ops.out``,
+    ``mul``, ``inv`` and ``unit``, and its equalities sent to ``require``."""
     gen, inv = letter.gen, letter.inverse
     if gen == "alpha":
         if not inv:
@@ -153,10 +140,10 @@ def _rewrite(sub: GTree, letter: MorphismLetter, group: FiniteGroup,
     if gen == "delta":
         if not inv:
             _expect(isinstance(sub, LabelEdge), letter, sub)
-            ops.require(sub.label, ops.identity(group),
+            ops.require(sub.label, ops.unit,
                         "delta removes only identity labels")
             return sub.child
-        return LabelEdge(ops.identity(group), sub)
+        return LabelEdge(ops.unit, sub)
     if gen == "eps":
         if inv:
             raise RelationError("inverse eps needs a label")
@@ -168,25 +155,17 @@ def _rewrite(sub: GTree, letter: MorphismLetter, group: FiniteGroup,
     a, b = sub.left, sub.right
     if not flip_braiding:
         if not inv:
-            return Tensor(LabelEdge(ops.out(a, group), b), a)
+            return Tensor(LabelEdge(ops.out(a), b), a)
         _expect(isinstance(a, LabelEdge), letter, sub)
-        ops.require(a.label, ops.out(b, group), "inverse c: label is not the "
+        ops.require(a.label, ops.out(b), "inverse c: label is not the "
                     "output color of the right factor")
         return Tensor(b, a.child)
     if not inv:
-        return Tensor(b, LabelEdge(ops.inv(ops.out(b, group)), a))
+        return Tensor(b, LabelEdge(ops.inv(ops.out(b)), a))
     _expect(isinstance(b, LabelEdge), letter, sub)
-    ops.require(b.label, ops.inv(ops.out(a, group)), "inverse flipped c: "
+    ops.require(b.label, ops.inv(ops.out(a)), "inverse flipped c: "
                 "label is not the inverse output color of the left factor")
     return Tensor(b.child, a)
-
-
-def apply_generator(tree: GTree, letter: MorphismLetter, group: FiniteGroup,
-                    flip_braiding: bool = False, ops=Elements) -> GTree:
-    """``tree`` with ``letter`` applied, its labels computed by ``ops``."""
-    sub = subtree_at(tree, letter.path)
-    return replace_at(tree, letter.path,
-                      _rewrite(sub, letter, group, flip_braiding, ops))
 
 
 def _c_braid_letters(tree: GTree, letter: MorphismLetter,
@@ -223,22 +202,16 @@ class InterpretedMorphism:
 def interpret_morphism(source: GTree, word: MorphismWord,
                        group: Optional[FiniteGroup] = None,
                        mutate: Optional[str] = None) -> InterpretedMorphism:
-    """Apply the letters, then check that the braid carries the source
-    normal form to the target's."""
-    g = tree_group(source) or group
+    """Apply the letters on a program of one assignment, after the checks
+    of ``validate`` (``group`` is needed only for an all-unit tree), then
+    check that the braid carries the source normal form to the target's."""
+    g = _checked_leaves(source, group)[0]
     if g is None:
         raise RelationError("cannot interpret over an undetermined group")
-    flip, current, written = _flip(mutate), source, []
-    for letter in word.letters:
-        after = apply_generator(current, letter, g, flip)
-        if letter.gen == "c":
-            written[:0] = _c_braid_letters(current, letter, flip)
-        current = after
-    braid = BraidWord(leaf_count(source), tuple(written))
-    source_nf, target_nf = normalize(source, g), normalize(current, g)
-    if braid.strands > 0 and braid_act(braid, source_nf) != target_nf:
-        raise RelationError(_INCONSISTENT)
-    return InterpretedMorphism(source, current, braid)
+    program = _Program(g, source, (word,), mutate=mutate)
+    if (error := program.fault(0, 0)[0]) is not None:
+        raise error
+    return InterpretedMorphism(source, program.target(0, 0), program.braids[0])
 
 
 # -- traced programs -----------------------------------------------------
@@ -279,13 +252,15 @@ class _Program:
             try:
                 flip = self.word == 0 and _flip(mutate)
                 for letter in morphism.letters:
-                    after = apply_generator(current, letter, group, flip, self)
+                    site = subtree_at(current, letter.path)
+                    after = replace_at(current, letter.path, _rewrite(
+                        site, letter, flip, self))
                     if letter.gen == "c":
                         written[:0] = _c_braid_letters(current, letter, flip)
                     # the key is read off the forward source, which is the
                     # result of an inverse letter
-                    site = subtree_at(after if letter.inverse else current,
-                                      letter.path)
+                    if letter.inverse:
+                        site = subtree_at(after, letter.path)
                     terms.append((letter.gen, list(zip(*self._key(
                         site, letter.gen))), -1 if letter.inverse else 1))
                     current = after
@@ -300,9 +275,6 @@ class _Program:
     def mul(self, x, y) -> tuple[int, ...]:
         mul = self.group.mul
         return tuple([mul[a][b] for a, b in zip(x, y)])
-
-    def identity(self, group) -> tuple[int, ...]:
-        return self.unit
 
     def inv(self, x) -> tuple[int, ...]:
         return tuple([self.group.inv[a] for a in x])
@@ -320,7 +292,7 @@ class _Program:
                 entries.append((node.slot, above, node.color))
         return entries
 
-    def out(self, t: GTree, group=None) -> tuple[int, ...]:
+    def out(self, t: GTree) -> tuple[int, ...]:
         """The output color of a traced tree: its leaf colors conjugated by
         the labels above them, in position order."""
         mul, conj, acc = self.group.mul, self.group.conj, self.unit
@@ -332,17 +304,11 @@ class _Program:
     def _form(self, t: GTree):
         """The normal form of a traced tree as a function of the assignment
         index, which holds no reference to the program: a cycle would keep
-        the chunk alive until a full collection.  Slots other than 1..r,
-        each once, raise as in ``normalize``."""
+        the chunk alive until a full collection.  Bad slots raise, as in
+        ``normalize``."""
         entries = self._leaves(t)
-        images = [0] * len(entries)
-        for position, (slot, _, _) in enumerate(entries, start=1):
-            if not 1 <= slot <= len(entries) or images[slot - 1]:
-                raise TreeError(
-                    f"bad slot numbering {sorted(e[0] for e in entries)}")
-            images[slot - 1] = position
+        images, hues = _by_slot(entries)
         group, images = self.group, tuple(images)
-        hues = [e[2] for e in sorted(entries)]
         return lambda i: DecoratedTuple._trusted(
             group, images + tuple([e[1][i] for e in entries]),
             tuple([g[i] for g in hues]))
@@ -372,6 +338,23 @@ class _Program:
         return [[((gen, keys[i]), sign) for gen, keys, sign in side]
                 for side in self.sides]
 
+    def fault(self, i: int, w: int, source=None):
+        """Word ``w``'s first open error failing at ``i``, else that of its
+        braid not carrying the source normal form to the target's, or None;
+        and the source normal form at ``i``, once built, for the next word."""
+        error, braid = self.failure(i, w), self.braids[w]
+        if error is None and braid.strands > 0:
+            source = source or self.forms[w][0](i)
+            if braid_act(braid, source) != self.forms[w][1](i):
+                error = RelationError(_INCONSISTENT)
+        return error, source
+
+    def target(self, w: int, i: int) -> GTree:
+        """Word ``w``'s target at assignment ``i``, as a tree of elements."""
+        els = self.group.elements()
+        return _map_leaves(self.targets[w], lambda leaf: InputLeaf(
+            leaf.slot, els[leaf.color[i]]), lambda h: els[h[i]])
+
     @functools.cached_property
     def targets_differ(self) -> bool:
         return self.targets[0] != self.targets[1]
@@ -381,18 +364,11 @@ class _Program:
         side's failing letter or normal-form check, then the targets."""
         source = None
         for w, side in enumerate(("left", "right")):
-            error, braid = self.failure(i, w), self.braids[w]
-            if error is None and braid.strands > 0:
-                source = source or self.forms[w][0](i)
-                if braid_act(braid, source) != self.forms[w][1](i):
-                    error = _INCONSISTENT
+            error, source = self.fault(i, w, source)
             if error is not None:
                 return f"{side} side: {error}"
-        if self.targets_differ:  # then compare the trees at i
-            left, right = (_map_leaves(t, lambda leaf: InputLeaf(
-                leaf.slot, leaf.color[i]), lambda h: h[i]) for t in self.targets)
-            if left != right:
-                return "targets differ"
+        if self.targets_differ and self.target(0, i) != self.target(1, i):
+            return "targets differ"
         return None
 
 
@@ -458,12 +434,6 @@ def relation_report(entry: dict, outcomes, max_reported: int) -> dict:
     checked, failure_count, failures = tally(outcomes, max_reported)
     return {"relation": entry["id"], "assignments_checked": checked,
             "failure_count": failure_count, "failures": failures}
-
-
-def relation_assignments(group: FiniteGroup, relation: dict):
-    names = relation["symbols"]
-    for values in itertools.product(group.elements(), repeat=len(names)):
-        yield dict(zip(names, values))
 
 
 def _instances(group: FiniteGroup, entry: dict, mutate: Optional[str] = None,

@@ -66,20 +66,6 @@ GTree = Union[InputLeaf, UnitLeaf, LabelEdge, Tensor]
 NormalForm = DecoratedTuple
 
 
-def tree_group(t: GTree) -> Optional[FiniteGroup]:
-    """The group of the first leaf or label in preorder (None if all units)."""
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, InputLeaf):
-            return t.color.group
-        if isinstance(t, LabelEdge):
-            return t.label.group
-        if isinstance(t, Tensor):
-            stack += (t.right, t.left)
-    return None
-
-
 def leaf_count(t: GTree) -> int:
     count, stack = 0, []
     while True:
@@ -154,6 +140,13 @@ def _checked_leaves(t: GTree, group: Optional[FiniteGroup]):
     elif group is not None and group is not g:
         raise TreeError(f"mixed groups in one tree: {g.label} "
                         f"vs {group.label}")
+    return g, tuple([e[1] for e in entries]), *_by_slot(entries)
+
+
+def _by_slot(entries) -> tuple[list, list]:
+    """Per slot, the position of its leaf and its color, from one ``(slot,
+    label, color)`` entry per position; slots other than 1..r, each once,
+    raise ``TreeError``."""
     r = len(entries)
     images = [0] * r
     hues = [0] * r
@@ -163,7 +156,7 @@ def _checked_leaves(t: GTree, group: Optional[FiniteGroup]):
                 f"bad slot numbering {sorted(e[0] for e in entries)}")
         images[slot - 1] = position
         hues[slot - 1] = color
-    return g, tuple([e[1] for e in entries]), images, hues
+    return images, hues
 
 
 def validate(t: GTree, group: Optional[FiniteGroup] = None) -> int:

@@ -13,12 +13,13 @@ from gbraids.algebra import (AlgebraError, CrossedAlgebraData,
 from gbraids.groups import make_group
 from gbraids.operad import CapExceeded
 from gbraids.relations import (GENERATORS, MorphismLetter, MorphismWord,
-                               RelationError, _Program, apply_generator,
-                               check_all_relations, get_relation,
-                               load_relation_table, relation_assignments)
+                               RelationError, _Program, check_all_relations,
+                               get_relation, interpret_morphism,
+                               load_relation_table)
 from gbraids.trees import (InputLeaf, LabelEdge, Tensor, TreeError,
                            _map_leaves, output_color, parse_tree, random_tree,
                            subtree_at)
+from tree_walk import apply_generator, walk_morphism
 
 C2 = make_group("C2")
 C3 = make_group("C3")
@@ -167,7 +168,9 @@ def _instances(group):
     for entry in load_relation_table():
         lhs = MorphismWord.from_json(entry["lhs"])
         rhs = MorphismWord.from_json(entry["rhs"])
-        for assignment in relation_assignments(group, entry):
+        names = entry["symbols"]
+        for values in itertools.product(group.elements(), repeat=len(names)):
+            assignment = dict(zip(names, values))
             source = parse_tree(entry["source"], group,
                                 dict(assignment, e=group.identity))
             yield entry, assignment, source, lhs, rhs
@@ -207,9 +210,9 @@ def test_coherence_equations_pinned(spec):
 
 def test_equations_make_no_per_instance_tree_calls(monkeypatch):
     """The table is traced once per entry: building the S3 equations and
-    checking the S3 relations make exactly as many apply_generator,
-    _map_leaves and output_color calls as for C2, whatever the number of
-    instances."""
+    checking the S3 relations make exactly as many ``_rewrite``,
+    ``_map_leaves`` and ``output_color`` calls as for C2, whatever the
+    number of instances."""
     counts = {}
 
     def counted(name, fn):
@@ -218,7 +221,7 @@ def test_equations_make_no_per_instance_tree_calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name, fn in (("apply_generator", apply_generator),
+    for name, fn in (("_rewrite", relations._rewrite),
                      ("_map_leaves", _map_leaves),
                      ("output_color", output_color)):
         for module in (algebra, relations, trees):
@@ -227,14 +230,13 @@ def test_equations_make_no_per_instance_tree_calls(monkeypatch):
     per_group = {}
     for group in (C2, S3):
         counts.update(dict.fromkeys(
-            ("apply_generator", "_map_leaves", "output_color"), 0))
+            ("_rewrite", "_map_leaves", "output_color"), 0))
         coherence_equations(group)
         assert check_all_relations(group)["total_failures"] == 0
         per_group[group.label] = dict(counts)
     table = load_relation_table()
     assert per_group["S3"] == per_group["C2"] == {
-        "apply_generator": 2 * sum(len(e["lhs"]) + len(e["rhs"])
-                                   for e in table),
+        "_rewrite": 2 * sum(len(e["lhs"]) + len(e["rhs"]) for e in table),
         "_map_leaves": 2 * len(table),
         "output_color": 0,
     }
@@ -496,6 +498,25 @@ def test_evaluate_morphism_matches_a_tree_walk(group):
                 outcomes.add(got[1] if type(got) is tuple else "value")
     assert {"value", "delta removes only identity labels",
             "path descends past a leaf"} <= outcomes
+
+
+@pytest.mark.parametrize("group", [C2, C3, S3], ids=lambda g: g.label)
+def test_interpret_morphism_matches_a_tree_walk(group):
+    """Random words as above, with either braiding: ``interpret_morphism``
+    gives the tree walk's target and braid, or its first error."""
+    rng = random.Random(f"interpret-{group.label}")
+    outcomes = set()
+    for _ in range(40):
+        tree = random_tree(group, rng.randrange(1, 5), rng)
+        walked = _random_word(tree, group, rng, rng.randrange(1, 7))
+        for source in (tree, _relabel(tree, group, rng)):
+            for mutate in (None, "braiding"):
+                got = _outcome(interpret_morphism, source, walked, None,
+                               mutate)
+                assert got == _outcome(walk_morphism, source, walked, group,
+                                       mutate)
+                outcomes.add(got[1] if type(got) is tuple else "value")
+    assert {"value", "delta removes only identity labels"} <= outcomes
 
 
 @pytest.mark.parametrize("text, letters, message", [

@@ -95,6 +95,20 @@ def test_orbits_usage_errors(capsys):
         main(["orbits", "--group", "nonsense", "--strands", "2"])
     assert err.value.code == 2
     capsys.readouterr()
+    # an oversized group is refused from its spec alone: a build would fail
+    # here at once, not start
+    with contextlib.ExitStack() as stack:
+        for name in ("cyclic_group", "symmetric_group", "dihedral_group",
+                     "direct_product"):
+            stack.enter_context(mock.patch(f"gbraids.groups.{name}",
+                                           side_effect=AssertionError(name)))
+        for spec, order in [("S12", 479001600), ("C100000", 100000),
+                            ("C2xS12", 958003200)]:
+            with pytest.raises(SystemExit) as err:
+                main(["orbits", "--group", spec, "--strands", "2"])
+            assert err.value.code == 2
+            assert f"group {spec!r} has order {order}, above the limit of " \
+                "256" in capsys.readouterr().err
     for argv, option in [
             (["orbits", "--group", "C2", "--strands", "-1"], "--strands"),
             (["grothendieck", "--group", "C2", "--strands", "-1"], "--strands"),

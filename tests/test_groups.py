@@ -151,6 +151,43 @@ def test_identity_must_be_element_zero():
         FiniteGroup(2, ((0, 1), (1, 0)), (0, 1), "C2", 1)
 
 
+def _permutation_table(perms):
+    """The table of a closed set of 0-based one-line tuples, indexed in
+    lexicographic order, with (p*q)(i) = p(q(i))."""
+    elements = sorted(perms)
+    index = {p: k for k, p in enumerate(elements)}
+    return tuple(tuple(index[tuple(p[i] for i in q)] for q in elements)
+                 for p in elements)
+
+
+def _closure(generators, n):
+    """Every product of ``generators``, found by search from the identity."""
+    found, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        p = frontier.pop()
+        for g in generators:
+            q = tuple(g[i] for i in p)
+            if q not in found:
+                found.add(q)
+                frontier.append(q)
+    return found
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetric_tables_match_composed_tuples(n):
+    assert make_group(f"S{n}").mul == \
+        _permutation_table(itertools.permutations(range(n)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_dihedral_tables_match_composed_tuples(n):
+    rotation = tuple((i + 1) % n for i in range(n))
+    reflection = tuple(-i % n for i in range(n))
+    elements = _closure([rotation, reflection], n)
+    assert len(elements) == 2 * n
+    assert make_group(f"D{n}").mul == _permutation_table(elements)
+
+
 def test_bad_specs_rejected():
     for spec in ["", "X3", "C0", "Q8", "C2x", "c2"]:
         with pytest.raises(GroupError):

@@ -1,5 +1,7 @@
 """The defining relations hold verbatim; the flipped braiding breaks them."""
+import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,17 +18,16 @@ from gbraids.relations import (
     MorphismWord,
     RelationError,
     _outcomes,
-    apply_generator,
     check_all_relations,
     get_relation,
     interpret_morphism,
     load_relation_table,
-    relation_assignments,
     tally,
 )
 from gbraids.braids import braids_equal
-from gbraids.trees import (InputLeaf, LabelEdge, Tensor, TreeError,
+from gbraids.trees import (InputLeaf, LabelEdge, Tensor, TreeError, UnitLeaf,
                            format_tree, parse_tree)
+from tree_walk import apply_generator, walk_morphism
 
 S3 = make_group("S3")
 C2 = make_group("C2")
@@ -36,6 +37,13 @@ def build_source(entry, group, assignment):
     """The source tree of one instance, parsed from the table's text."""
     return parse_tree(entry["source"], group,
                       dict(assignment, e=group.identity))
+
+
+def assignments(group, entry):
+    """Each assignment of group elements to the entry's symbols, in order."""
+    names = entry["symbols"]
+    for values in itertools.product(group.elements(), repeat=len(names)):
+        yield dict(zip(names, values))
 
 
 def test_table_inventory():
@@ -179,14 +187,29 @@ def test_assignment_cap():
     assert report["relations"][0]["assignments_checked"] == 50
 
 
+def refused(tree, letter):
+    """The tree walk refuses ``letter`` on ``tree``, and so does
+    ``interpret_morphism``, with the same message."""
+    with pytest.raises(RelationError) as walked:
+        apply_generator(tree, letter, S3)
+    with pytest.raises(RelationError, match=re.escape(str(walked.value))):
+        interpret_morphism(tree, MorphismWord((letter,)))
+    return str(walked.value)
+
+
+def applied(tree, letter):
+    """The tree walk's result, which ``interpret_morphism`` reaches too."""
+    after = apply_generator(tree, letter, S3)
+    assert interpret_morphism(tree, MorphismWord((letter,))).target == after
+    return after
+
+
 def test_rewrite_pattern_errors():
     tree = parse_tree("T(leaf:1:3,leaf:2:5)", S3)
-    with pytest.raises(RelationError):
-        apply_generator(tree, MorphismLetter("alpha"), S3)
-    with pytest.raises(RelationError):
-        apply_generator(tree, MorphismLetter("gamma", inverse=True), S3)
-    with pytest.raises(RelationError):
-        apply_generator(tree, MorphismLetter("eps", inverse=True), S3)
+    assert refused(tree, MorphismLetter("alpha")) == \
+        "alpha does not apply at (): found Tensor"
+    refused(tree, MorphismLetter("gamma", inverse=True))
+    refused(tree, MorphismLetter("eps", inverse=True))
     with pytest.raises(RelationError):
         MorphismLetter("sigma")
     with pytest.raises(RelationError):
@@ -195,26 +218,59 @@ def test_rewrite_pattern_errors():
 
 def test_beta_requires_equal_labels():
     tree = parse_tree("T(L[2](leaf:1:0),L[3](leaf:2:0))", S3)
-    with pytest.raises(RelationError):
-        apply_generator(tree, MorphismLetter("beta"), S3)
+    refused(tree, MorphismLetter("beta"))
 
 
 def test_delta_requires_identity_label():
     tree = parse_tree("L[2](leaf:1:0)", S3)
-    with pytest.raises(RelationError):
-        apply_generator(tree, MorphismLetter("delta"), S3)
-    grown = apply_generator(tree, MorphismLetter("delta", inverse=True), S3)
+    refused(tree, MorphismLetter("delta"))
+    grown = applied(tree, MorphismLetter("delta", inverse=True))
     assert format_tree(grown) == "L[0](L[2](leaf:1:0))"
 
 
 def test_inverse_c_checks_its_label():
     tree = parse_tree("T(L[2](leaf:2:5),leaf:1:3)", S3)
     # output color of the right factor is 3, but the label reads 2
-    with pytest.raises(RelationError):
-        apply_generator(tree, MorphismLetter("c", inverse=True), S3)
+    refused(tree, MorphismLetter("c", inverse=True))
     ok = parse_tree("T(L[3](leaf:2:5),leaf:1:3)", S3)
-    back = apply_generator(ok, MorphismLetter("c", inverse=True), S3)
+    back = applied(ok, MorphismLetter("c", inverse=True))
     assert format_tree(back) == "T(leaf:1:3,leaf:2:5)"
+
+
+@pytest.mark.parametrize("letters", [(), ("c",), ("alpha",), ("delta",)])
+def test_interpret_morphism_refuses_mixed_groups(letters):
+    """The checks of ``validate`` come before any letter: a C2 leaf in an
+    S3 tree fails whatever the word, and so does a group other than the
+    tree's."""
+    word = MorphismWord(tuple(map(MorphismLetter, letters)))
+    mixed = Tensor(LabelEdge(S3.element(2), InputLeaf(1, S3.element(3))),
+                   InputLeaf(2, C2.element(1)))
+    with pytest.raises(TreeError, match="mixed groups in one tree: S3 vs C2"):
+        interpret_morphism(mixed, word)
+    tree = parse_tree("T(leaf:1:3,L[0](leaf:2:5))", S3)
+    with pytest.raises(TreeError, match="mixed groups in one tree: S3 vs C2"):
+        interpret_morphism(tree, word, C2)
+
+
+def test_interpret_morphism_on_units_needs_a_group():
+    units = Tensor(UnitLeaf(), UnitLeaf())
+    word = MorphismWord((MorphismLetter("ell"),))
+    with pytest.raises(RelationError,
+                       match="cannot interpret over an undetermined group"):
+        interpret_morphism(units, word)
+    out = interpret_morphism(units, word, S3)
+    assert out.target == UnitLeaf() and out.braid.strands == 0
+    assert out == walk_morphism(units, word, S3)
+
+
+def test_interpret_morphism_walks_deep_trees():
+    spine = InputLeaf(1, S3.element(3))
+    for _ in range(3000):
+        spine = Tensor(UnitLeaf(), spine)
+    out = interpret_morphism(spine, MorphismWord((MorphismLetter("ell"),)))
+    # deep trees are compared through their text: == recurses
+    assert format_tree(out.target) == format_tree(spine.right)
+    assert out.braid.letters == ()
 
 
 def test_multi_strand_braiding_blocks():
@@ -238,7 +294,7 @@ def test_report_shape_is_json_ready():
 def _fresh_outcome(group, entry, assignment, mutate):
     """The outcome of one instance along a path that compiles nothing: a
     parse of the source text, both words read from JSON, each side
-    interpreted on its own, and the braids compared for this instance.
+    walked on its own, and the braids compared for this instance.
     Returns the outcome and each side's braid (None where it fails)."""
     source = build_source(entry, group, assignment)
     sides = []
@@ -246,8 +302,8 @@ def _fresh_outcome(group, entry, assignment, mutate):
                                    ("right", "rhs", None)):
         word = MorphismWord.from_json(entry[key])
         try:
-            sides.append(interpret_morphism(source, word, group,
-                                            mutate=side_mutate))
+            sides.append(walk_morphism(source, word, group,
+                                       mutate=side_mutate))
         except (RelationError, TreeError) as exc:
             sides.append(f"{side} side: {exc}")
     braids = [None if isinstance(s, str) else s.braid for s in sides]
@@ -277,7 +333,7 @@ DOUBLE_BRAIDING = {
 def _traced_outcomes(group, entry, mutate):
     """The traced checker's reason per assignment, each with the fresh
     path's outcome and side braids."""
-    for assignment, traced in zip(relation_assignments(group, entry),
+    for assignment, traced in zip(assignments(group, entry),
                                   _outcomes(group, entry, mutate), strict=True):
         yield (assignment, traced and traced["reason"],
                *_fresh_outcome(group, entry, assignment, mutate))
@@ -328,7 +384,8 @@ def test_braids_differ_reason_names_the_empty_word(spec):
 def test_wrong_braid_shadows_fail_the_normal_form_check(monkeypatch):
     """A shadow that no longer matches the rewrite (here the inverse
     letters) must fail the per-instance normal-form check, at the same
-    instances on the traced path as on a fresh parse."""
+    instances on the traced path as on a fresh parse, and
+    ``interpret_morphism`` must fail it there too."""
     shadow = relations._c_braid_letters
     monkeypatch.setattr(
         relations, "_c_braid_letters", lambda *args: tuple(
@@ -337,8 +394,16 @@ def test_wrong_braid_shadows_fail_the_normal_form_check(monkeypatch):
     report = check_all_relations(S3, ids, max_reported=S3.order ** 3)
     for entry, result in zip(map(get_relation, ids), report["relations"]):
         expected = []
-        for assignment in relation_assignments(S3, entry):
+        lhs = MorphismWord.from_json(entry["lhs"])
+        for assignment in assignments(S3, entry):
             reason = _fresh_outcome(S3, entry, assignment, None)[0]
+            source = build_source(entry, S3, assignment)
+            if reason is None or not reason.startswith("left side: "):
+                interpret_morphism(source, lhs)
+            else:
+                with pytest.raises(RelationError, match=re.escape(
+                        reason.removeprefix("left side: "))):
+                    interpret_morphism(source, lhs)
             if reason is not None:
                 expected.append({
                     "assignment": {k: v.index for k, v in assignment.items()},

@@ -25,7 +25,6 @@ from gbraids.trees import (
     random_tree,
     replace_at,
     subtree_at,
-    tree_group,
     validate,
 )
 
@@ -207,11 +206,13 @@ def test_validate_walks_deep_trees():
         units = Tensor(UnitLeaf(), units)
     assert validate(units) == 0
     assert validate(units, S3) == 0
-    assert tree_group(units) is None
+    assert normalize(units, S3).size == 0
+    with pytest.raises(TreeError, match="without a group"):
+        normalize(units)
     spine = leaf
     for _ in range(3000):
         spine = Tensor(UnitLeaf(), spine)
-    assert tree_group(spine) is S3
+    assert normalize(spine).group is S3
 
 
 def test_navigation():
