@@ -137,10 +137,10 @@ def _run_orbits(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]
         points = component_objects(sig.inputs, sig.output)
         space = {"space": "component", "signature": format_signature(sig)}
     else:
-        r = args.strands
-        if group.order ** r > config.bounds[2]:
-            raise CapExceeded(
-                f"{group.order}^{r} tuples exceed the cap {config.bounds[2]}")
+        # for order >= 2, r > cap.bit_length() alone shows order^r > cap
+        r, cap = args.strands, config.bounds[2]
+        if group.order > 1 and r > cap.bit_length() or group.order ** r > cap:
+            raise CapExceeded(f"{group.order}^{r} tuples exceed the cap {cap}")
         points = bare_space(group, r)
         space = {"space": "bare", "strands": r}
     results = dict(space)
@@ -203,10 +203,9 @@ def _run_check(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]:
 
 
 def _run_grothendieck(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]:
-    r = args.strands
-    if group.order ** r > config.bounds[2]:
-        raise CapExceeded(
-            f"{group.order}^{r} objects exceed the cap {config.bounds[2]}")
+    r, cap = args.strands, config.bounds[2]
+    if group.order > 1 and r > cap.bit_length() or group.order ** r > cap:
+        raise CapExceeded(f"{group.order}^{r} objects exceed the cap {cap}")
     report = compare_grothendieck_to_direct(group, r)
     code = EXIT_PASS if not report["failures"] else EXIT_FAIL
     return {"strands": r, **report}, code

@@ -11,12 +11,13 @@ are pairs ``(y, x)`` with x in the fiber over y, an arrow ``(g, f): (y0, x0)
 the fiber over y0, and ``(g1, f1) o (g0, f0) = (g1 g0, (g0^{-1}.f1) o f0)``.
 
 The Hurwitz instance runs on index states: one-line permutation images acted
-on by canonical braid words, and ``bare_space`` states of ``G^r`` acted on by
-conjugation.  Base arrows move states by the bare Hurwitz move, memoized per
-(word, state), and leave fiber labels alone, so the flattening agrees with
-the componentwise rule ``(c1 c0, h1 h0)`` of ``hurwitz_direct_presentation``.
-Word products and inverses are memoized per letters, over one ``normal_form``
-memo per presentation.
+on by canonical letter tuples, and ``bare_space`` states of ``G^r`` acted on
+by conjugation with element indices.  Base arrows move states by the bare
+Hurwitz move, memoized per (letters, state), and leave fiber labels alone, so
+the flattening agrees with the componentwise rule ``(c1 c0, h1 h0)`` of
+``hurwitz_direct_presentation``.  All three presentations come from one
+action-groupoid builder; a composite's letters are the canonical form of the
+concatenation, memoized per letters over ``normal_form``, as are inverses.
 """
 from __future__ import annotations
 
@@ -170,61 +171,56 @@ def grothendieck(system: FiberedSystem) -> FiniteGroupoidPresentation:
 # -- the braid-on-tuples instance ----------------------------------------
 
 
+def _action_groupoid(objects, generators, mul, inv, unit) -> FiniteGroupoidPresentation:
+    """Arrows whose labels compose by ``mul(second, first)``, with identity
+    label ``unit`` and inverse label ``inv(label)``."""
+    def compose(second: Arrow, first: Arrow) -> Arrow:
+        return _arrow((first.source, second.target,
+                       mul(second.label, first.label)))
+
+    def identity(x) -> Arrow:
+        return _arrow((x, x, unit))
+
+    def inverse(arrow: Arrow) -> Arrow:
+        return _arrow((arrow.target, arrow.source, inv(arrow.label)))
+
+    return FiniteGroupoidPresentation(objects, tuple(generators),
+                                      compose, identity, inverse)
+
+
 def _braid_side(r: int):
-    """Permutation images; the canonical product and inverse of letter
-    tuples, memoized over one ``normal_form`` memo; moves (j, t_j, s_j)."""
-    canonical = functools.cache(normal_form)
-    times = functools.cache(
-        lambda second, first: canonical(BraidWord._trusted(r, second + first)))
+    """Permutation images; the canonical letters of a letter tuple and of its
+    inverse, memoized over ``normal_form``; moves (j, t_j, s_j)."""
+    canonical = functools.cache(
+        lambda letters: normal_form(BraidWord._trusted(r, letters)).letters)
     invert = functools.cache(
-        lambda letters: canonical(BraidWord._trusted(r, letters).inverse()))
-    moves = [(j, Permutation.transposition(j, r).images,
-              canonical(BraidWord(r, (j,)))) for j in range(1, r)]
-    return tuple(itertools.permutations(range(1, r + 1))), times, invert, moves
+        lambda letters: canonical(tuple([-l for l in reversed(letters)])))
+    moves = [(j, Permutation.transposition(j, r).images, canonical((j,)))
+             for j in range(1, r)]
+    return tuple(itertools.permutations(range(1, r + 1))), canonical, invert, moves
 
 
 def permutation_base(r: int) -> FiniteGroupoidPresentation:
-    """Permutations of r positions; arrows are canonical braid words acting
+    """Permutations of r positions; arrows are canonical letter tuples acting
     by left multiplication of the underlying permutation."""
-    objects, times, inverse_word, moves = _braid_side(r)
-
-    def compose(second: Arrow, first: Arrow) -> Arrow:
-        return _arrow((first.source, second.target,
-                       times(second.label.letters, first.label.letters)))
-
-    def identity(sigma) -> Arrow:
-        return _arrow((sigma, sigma, BraidWord.identity(r)))
-
-    def inverse(arrow: Arrow) -> Arrow:
-        return _arrow((arrow.target, arrow.source,
-                       inverse_word(arrow.label.letters)))
-
-    generators = tuple(_arrow((y, tuple([t[v - 1] for v in y]), word))
-                       for y in objects for _, t, word in moves)
-    return FiniteGroupoidPresentation(objects, generators,
-                                      compose, identity, inverse)
+    objects, canonical, invert, moves = _braid_side(r)
+    generators = (_arrow((y, tuple([t[v - 1] for v in y]), word))
+                  for y in objects for _, t, word in moves)
+    return _action_groupoid(objects, generators,
+                            lambda second, first: canonical(second + first),
+                            invert, ())
 
 
 def conjugation_fiber(group: FiniteGroup, r: int) -> FiniteGroupoidPresentation:
     """The states of ``G^r``, in ``bare_space`` order, with arrows labeled by
-    group elements acting by simultaneous conjugation."""
+    element indices acting by simultaneous conjugation."""
     objects = tuple(itertools.product(range(group.order), repeat=r))
-
-    def compose(second: Arrow, first: Arrow) -> Arrow:
-        return _arrow((first.source, second.target,
-                       second.label * first.label))
-
-    def identity(x) -> Arrow:
-        return _arrow((x, x, group.identity))
-
-    def inverse(arrow: Arrow) -> Arrow:
-        return _arrow((arrow.target, arrow.source, arrow.label.inverse()))
-
-    generators = tuple(
-        _arrow((x, tuple([group.conj[h.index][v] for v in x]), h))
-        for x in objects for h in group)
-    return FiniteGroupoidPresentation(objects, generators,
-                                      compose, identity, inverse)
+    mul, conj = group.mul, group.conj
+    generators = (_arrow((x, tuple([conj[h][v] for v in x]), h))
+                  for x in objects for h in range(group.order))
+    return _action_groupoid(objects, generators,
+                            lambda second, first: mul[second][first],
+                            group.inv.__getitem__, 0)
 
 
 def hurwitz_fibered_system(group: FiniteGroup, r: int) -> FiberedSystem:
@@ -237,50 +233,37 @@ def hurwitz_fibered_system(group: FiniteGroup, r: int) -> FiberedSystem:
         return x
 
     def act_arrow(g: Arrow, f: Arrow) -> Arrow:
-        return _arrow((act(g.label.letters, f.source),
-                       act(g.label.letters, f.target), f.label))
+        return _arrow((act(g.label, f.source), act(g.label, f.target),
+                       f.label))
 
     return FiberedSystem(permutation_base(r), lambda y: fiber,
-                         lambda g, x: act(g.label.letters, x), act_arrow)
+                         lambda g, x: act(g.label, x), act_arrow)
 
 
 def hurwitz_direct_presentation(group: FiniteGroup, r: int) -> FiniteGroupoidPresentation:
-    """The flattened groupoid written down directly: arrows are labeled by a
-    canonical braid word and a group element, composed componentwise."""
-    perms, times, inverse_word, moves = _braid_side(r)
+    """The flattened groupoid written down directly: arrows are labeled by
+    canonical letters and an element index, composed componentwise."""
+    perms, canonical, invert, moves = _braid_side(r)
     objects = tuple(itertools.product(
         perms, itertools.product(range(group.order), repeat=r)))
-    unit = BraidWord.identity(r)
-
-    def compose(second: Arrow, first: Arrow) -> Arrow:
-        (c0, h0), (c1, h1) = first.label, second.label
-        return _arrow((first.source, second.target,
-                       (times(c1.letters, c0.letters), h1 * h0)))
-
-    def identity(obj) -> Arrow:
-        return _arrow((obj, obj, (unit, group.identity)))
-
-    def inverse(arrow: Arrow) -> Arrow:
-        c, h = arrow.label
-        return _arrow((arrow.target, arrow.source,
-                       (inverse_word(c.letters), h.inverse())))
-
+    mul, inv, conj = group.mul, group.inv, group.conj
     generators = []
     for obj in objects:
         y, x = obj
         generators += [_arrow((obj, (tuple([t[v - 1] for v in y]),
-                                     _move(x, j, group, None)),
-                               (word, group.identity)))
+                                     _move(x, j, group, None)), (word, 0)))
                        for j, t, word in moves]
-        generators += [_arrow((obj, (y, tuple([group.conj[h.index][v]
-                                               for v in x])), (unit, h)))
-                       for h in group]
-    return FiniteGroupoidPresentation(objects, tuple(generators),
-                                      compose, identity, inverse)
+        generators += [_arrow((obj, (y, tuple([conj[h][v] for v in x])),
+                               ((), h))) for h in range(group.order)]
+    return _action_groupoid(
+        objects, generators,
+        lambda second, first: (canonical(second[0] + first[0]),
+                                mul[second[1]][first[1]]),
+        lambda label: (invert(label[0]), inv[label[1]]), ((), 0))
 
 
 def flatten_label(arrow: Arrow) -> tuple:
-    """The (canonical word, group element) pair of a flattened arrow."""
+    """The (canonical letters, element index) pair of a flattened arrow."""
     return arrow.label[0].label, arrow.label[1].label
 
 

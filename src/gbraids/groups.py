@@ -264,9 +264,12 @@ def make_group(spec: str) -> FiniteGroup:
     parts, order = spec.split("x"), 1
     for part in map(str.strip, parts):
         family, num = part[:1], part[1:]
-        if family not in ("C", "S", "D") or not num.isdigit() or int(num) < 1:
+        digits = num.lstrip("0")  # int() refuses strings over 4300 digits
+        if family not in ("C", "S", "D") or not digits.isdigit() or \
+                not num.isascii():
             raise GroupError(f"unrecognized group spec {part!r}")
-        n = int(num)  # 21! > 2^64, the most that is named below
+        # 21 digits are over 2^64 and 21! > 2^64, the most named below
+        n = min(int(digits[:21]), 2 ** 64)
         order *= n if family == "C" else 2 * n if family == "D" else \
             math.factorial(min(n, 21))
     if order > MAX_ORDER:

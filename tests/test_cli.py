@@ -109,6 +109,13 @@ def test_orbits_usage_errors(capsys):
             assert err.value.code == 2
             assert f"group {spec!r} has order {order}, above the limit of " \
                 "256" in capsys.readouterr().err
+    # a family index too long for int() is refused like any other
+    # oversized group
+    with pytest.raises(SystemExit) as err:
+        main(["orbits", "--group", "C" + "9" * 5000, "--strands", "2"])
+    assert err.value.code == 2
+    assert "has order over 2^64, above the limit of 256" in \
+        capsys.readouterr().err
     for argv, option in [
             (["orbits", "--group", "C2", "--strands", "-1"], "--strands"),
             (["grothendieck", "--group", "C2", "--strands", "-1"], "--strands"),
@@ -311,6 +318,25 @@ def test_cap_exit_codes(capsys):
                                   "--bounds", "cap=10"])
     assert code == 3
     assert doc["results"]["error"] == "6^4 tuples exceed the cap 10"
+    # a strand count over the cap's bit length is refused without the power
+    for command, noun in [("orbits", "tuples"), ("grothendieck", "objects")]:
+        code, doc = run_json(capsys, [command, "--group", "S3", "--strands",
+                                      "1000000000000"])
+        assert code == 3
+        assert doc["results"]["error"] == \
+            f"6^1000000000000 {noun} exceed the cap 1000000"
+        # at the cap's bit length the power itself decides
+        code, doc = run_json(capsys, [command, "--group", "C2", "--strands",
+                                      "4", "--bounds", "cap=15"])
+        assert (code, doc["results"]) == \
+            (3, {"error": f"2^4 {noun} exceed the cap 15"})
+        code, doc = run_json(capsys, [command, "--group", "C2", "--strands",
+                                      "3", "--bounds", "cap=8"])
+        assert code == 0
+        # a trivial group has one tuple at any strand count
+        code, doc = run_json(capsys, [command, "--group", "C1", "--strands",
+                                      "5", "--bounds", "cap=1"])
+        assert code == 0
     code, doc = run_json(capsys, ["check", "--group", "S3", "--operad",
                                   "--bounds", "cap=400"])
     assert code == 3

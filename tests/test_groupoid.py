@@ -2,7 +2,7 @@
 import pytest
 
 import gbraids.groupoid
-from gbraids.braids import BraidWord, Permutation
+from gbraids.braids import BraidWord, Permutation, normal_form
 from gbraids.groupoid import (
     Arrow,
     FiberedSystem,
@@ -53,14 +53,16 @@ def test_comparison_counts(spec, r, counts):
             report["compositions"]) == counts
 
 
-def _public_target(points, r, source, word, h):
-    """The target of a generator with this word and group element, through
-    the public permutation, braid and conjugation actions on points."""
+def _public_target(points, group, r, source, letters, h):
+    """The target of a generator with these letters and element index,
+    through the public permutation, braid and conjugation actions on
+    points."""
     y, x = source
     sigma, point = Permutation(y), points[x]
+    word = BraidWord(r, letters)
     for letter in reversed(word.letters):
         sigma = Permutation.transposition(abs(letter), r) @ sigma
-    point = conjugate_act(h, braid_act(word, point))
+    point = conjugate_act(group.element(h), braid_act(word, point))
     return sigma.images, point.state
 
 
@@ -72,12 +74,12 @@ def test_generator_targets_match_the_public_actions(spec, r):
     flat = grothendieck(hurwitz_fibered_system(group, r))
     for a in direct.generators:
         word, h = a.label
-        assert word.letters == () or h.is_identity()
-        assert a.target == _public_target(points, r, a.source, word, h)
+        assert word == () or h == 0
+        assert a.target == _public_target(points, group, r, a.source, *a.label)
     for a in flat.generators:
         g, f = a.label
-        assert a.target == _public_target(points, r, a.source, g.label,
-                                          f.label)
+        assert a.target == _public_target(points, group, r, a.source,
+                                          g.label, f.label)
     assert len(flat.generators) == len(direct.generators)
 
 
@@ -126,7 +128,7 @@ def test_base_composition_labels_are_canonical():
         arrow = base.identity(base.objects[0])
         for j in letters:
             step = next(a for a in base.generators
-                        if a.source == arrow.target and a.label.letters == (j,))
+                        if a.source == arrow.target and a.label == (j,))
             arrow = base.compose(step, arrow)
         return arrow
 
@@ -137,12 +139,32 @@ def test_base_composition_labels_are_canonical():
 def test_composite_labels_multiply_componentwise():
     group = make_group("S3")
     direct = hurwitz_direct_presentation(group, 2)
-    a = next(x for x in direct.generators if x.label[0].letters == (1,))
+    a = next(x for x in direct.generators if x.label[0] == (1,))
     b = next(x for x in direct.generators
-             if x.source == a.target and x.label[1].index == 3)
+             if x.source == a.target and x.label[1] == 3)
     c = direct.compose(b, a)
-    assert c.label[0].letters == (1,)
-    assert c.label[1] == b.label[1]
+    assert c.label == ((1,), 3)
+
+
+def test_composites_put_the_second_label_on_the_left():
+    group = make_group("S3")
+    h, k = next((h, k) for h in range(6) for k in range(6)
+                if group.mul[h][k] != group.mul[k][h])
+
+    def then(pres, first, second):
+        a = next(x for x in pres.generators if x.label == first)
+        b = next(x for x in pres.by_source[a.target] if x.label == second)
+        return pres.compose(b, a).label
+
+    def canonical(letters):
+        return normal_form(BraidWord(3, letters)).letters
+
+    assert canonical((2, 1)) != canonical((1, 2))
+    assert then(permutation_base(3), (1,), (2,)) == canonical((2, 1))
+    assert then(conjugation_fiber(group, 2), h, k) == group.mul[k][h]
+    direct = hurwitz_direct_presentation(group, 3)
+    assert then(direct, ((1,), 0), ((2,), 0)) == (canonical((2, 1)), 0)
+    assert then(direct, ((), h), ((), k)) == ((), group.mul[k][h])
 
 
 def test_swapped_fiber_multiplication_is_detected():
@@ -154,7 +176,7 @@ def test_swapped_fiber_multiplication_is_detected():
         good = direct.compose_fn(second, first)
         c, _ = good.label
         return Arrow(good.source, good.target,
-                     (c, first.label[1] * second.label[1]))
+                     (c, group.mul[first.label[1]][second.label[1]]))
 
     broken = FiniteGroupoidPresentation(
         direct.objects, direct.generators, bad_compose,
@@ -166,7 +188,7 @@ def test_swapped_fiber_multiplication_is_detected():
 def test_composability_is_enforced():
     base = permutation_base(2)
     a = base.generators[0]
-    bad = Arrow(a.target, a.target, BraidWord.identity(2))
+    bad = Arrow(a.target, a.target, ())
     with pytest.raises(Exception):
         base.compose(a, bad)  # endpoints do not meet
 
