@@ -16,10 +16,24 @@ A report is complete when every stream was exhausted below the cap;
 otherwise it is a capped prefix of the (fixed) enumeration order.
 
 A normal form carries the index of its output color (``sigma_action``
-keeps it), so ``compose_normal`` checks an inner operand drawn from a
-component by one comparison of two ints.  The associativity streams compose
-each partial composite ``x o_j y`` once and share it across the instances
-that differ only in ``z``; each side of an instance is still built in full.
+keeps it), so a splice checks an inner operand drawn from a component by
+one comparison of two ints.  The streams splice through
+``trees.grafter``, which does the work that depends on the outer operand
+once per grafter, and they share what repeats:
+
+- sequential: one grafter per ``x``, per ``y`` and per ``x o_j y``, the
+  last two over the loop on ``z``;
+- parallel: ``x o_j y`` once per ``(x, y)`` with a grafter over the loop
+  on ``z``, and every ``x o_i z`` once per ``x``, with a grafter on each,
+  shared across every ``y``;
+- units: one grafter per unit color for ``1 o_1 x``;
+- equivariance: one grafter per slot of ``x`` and per
+  ``sigma_action(x, rho)``, and ``x o_j y`` once per colors of ``y``,
+  shared across the loop on ``rho``.
+
+Each side of an instance still ends in a splice of its own, and what is
+kept is at most one ``x``'s worth of composites, so memory does not grow
+with the cap.
 """
 from __future__ import annotations
 
@@ -31,7 +45,7 @@ from .braids import Permutation, all_permutations, cable_permutation
 from .groups import FiniteGroup
 from .hurwitz import DecoratedTuple, _output, component_objects
 from .relations import tally
-from .trees import compose_normal, identity_normal_form
+from .trees import compose_normal, grafter, identity_normal_form
 
 
 class OperadError(ValueError):
@@ -93,16 +107,17 @@ def _sequential_instances(group, bounds):
         for j in range(1, r + 1):
             for k in range(1, s + 1):
                 for x in all_operations(group, r):
+                    into_x = grafter(x, j)
                     need = elements[x.hues[j - 1]]
                     for cy in itertools.product(elements, repeat=s):
                         for y in _component(cy, need):
                             inner_need = elements[y.hues[k - 1]]
-                            xy = compose_normal(x, j, y)
+                            into_xy = grafter(into_x(y), j + k - 1)
+                            into_y = grafter(y, k)
                             for cz in itertools.product(elements, repeat=t):
                                 for z in _component(cz, inner_need):
-                                    lhs = compose_normal(xy, j + k - 1, z)
-                                    rhs = compose_normal(
-                                        x, j, compose_normal(y, k, z))
+                                    lhs = into_xy(z)
+                                    rhs = into_x(into_y(z))
                                     yield None if lhs == rhs else \
                                         f"r={r} s={s} t={t} j={j} k={k}"
 
@@ -115,23 +130,27 @@ def _parallel_instances(group, bounds):
         for j in range(1, r + 1):
             for i in range(j + 1, r + 1):
                 for x in all_operations(group, r):
+                    into_x, into_xi = grafter(x, j), grafter(x, i)
+                    # every x o_i z, each with its grafter into slot j
+                    xz = [(z, grafter(into_xi(z), j))
+                          for cz in itertools.product(elements, repeat=t)
+                          for z in _component(cz, elements[x.hues[i - 1]])]
                     for cy in itertools.product(elements, repeat=s):
                         for y in _component(cy, elements[x.hues[j - 1]]):
-                            xy = compose_normal(x, j, y)
-                            for cz in itertools.product(elements, repeat=t):
-                                for z in _component(cz, elements[x.hues[i - 1]]):
-                                    lhs = compose_normal(xy, i + s - 1, z)
-                                    rhs = compose_normal(
-                                        compose_normal(x, i, z), j, y)
-                                    yield None if lhs == rhs else \
-                                        f"r={r} s={s} t={t} j={j} i={i}"
+                            into_xy = grafter(into_x(y), i + s - 1)
+                            for z, into_xz in xz:
+                                lhs = into_xy(z)
+                                rhs = into_xz(y)
+                                yield None if lhs == rhs else \
+                                    f"r={r} s={s} t={t} j={j} i={i}"
 
 
 def _unit_instances(group, bounds):
     units = [identity_normal_form(c) for c in group.elements()]
+    unit_into = [grafter(unit, 1) for unit in units]
     for r in range(1, bounds.max_arity + 1):
         for x in all_operations(group, r):
-            ok = compose_normal(units[_output(x)], 1, x) == x
+            ok = unit_into[_output(x)](x) == x
             for j in range(1, r + 1):
                 ok = ok and compose_normal(x, j, units[x.hues[j - 1]]) == x
             yield None if ok else f"r={r}"
@@ -149,19 +168,26 @@ def _equivariance_instances(group, bounds):
             inner = [(rho, cable_permutation(perms_r[0], j, rho))
                      for rho in perms_s]
             for x in all_operations(group, r):
+                into_x = [grafter(x, i) for i in range(1, r + 1)]
+                moved = []
+                for rho, cable in outer:
+                    x_rho = sigma_action(x, rho)
+                    moved.append((grafter(x_rho, j), into_x[rho(j) - 1],
+                                  elements[x_rho.hues[j - 1]], cable))
+                into_xj, need = into_x[j - 1], elements[x.hues[j - 1]]
                 for cy in itertools.product(elements, repeat=s):
-                    for rho, cable in outer:
-                        moved = sigma_action(x, rho)
-                        for y in _component(cy, elements[moved.hues[j - 1]]):
-                            lhs = compose_normal(moved, j, y)
-                            rhs = sigma_action(compose_normal(x, rho(j), y),
-                                               cable)
+                    for into_moved, into_x_rho, moved_need, cable in moved:
+                        for y in _component(cy, moved_need):
+                            lhs = into_moved(y)
+                            rhs = sigma_action(into_x_rho(y), cable)
                             yield None if lhs == rhs else \
                                 f"outer r={r} s={s} j={j}"
+                    ys = _component(cy, need)
+                    xys = [into_xj(y) for y in ys]
                     for rho, cable in inner:
-                        for y in _component(cy, elements[x.hues[j - 1]]):
-                            lhs = compose_normal(x, j, sigma_action(y, rho))
-                            rhs = sigma_action(compose_normal(x, j, y), cable)
+                        for y, xy in zip(ys, xys):
+                            lhs = into_xj(sigma_action(y, rho))
+                            rhs = sigma_action(xy, cable)
                             yield None if lhs == rhs else \
                                 f"inner r={r} s={s} j={j}"
 

@@ -16,21 +16,28 @@ the two maps are mutually inverse bijections between normal forms and
 component objects.
 
 Grafting substitutes a tree for an input leaf of matching color;
-``compose_normal`` performs the same operation directly on the index states
-of normal forms: it checks the inner output color (the one the inner form
-carries, or else its holonomy product, computed once and stored), splices
-the inner positions into the outer position of the replaced slot and
-left-multiplies the inner decorations by the outer one.  The composite
-carries the outer form's output color, which grafting preserves.
+``grafter(outer, j)`` performs the same operation directly on the index
+states of normal forms, as a function of the inner form.  Each call checks
+the inner output color (the one the inner form carries, or else its
+holonomy product, computed once and stored), splices the inner positions
+into the outer position P of the replaced slot and left-multiplies the
+inner decorations by the outer one, b_P.  The work that depends on the
+outer form alone (P, the row of b_P, the slices of its hues and state, and
+the outer images shifted for an inner arity) is done on the first call of
+each inner arity and kept, so a grafter applied to many inners does it
+once.  ``compose_normal(outer, j, inner)`` is ``grafter(outer, j)(inner)``.
+The composite carries the outer form's output color, which grafting
+preserves.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .groups import FiniteGroup, GroupElement, GroupMismatchError
-from .hurwitz import DecoratedTuple, _holonomy, _output
+from .hurwitz import (DecoratedTuple, _holonomy, _output, _set_group,
+                      _set_hues, _set_out, _set_state)
 
 
 class TreeError(ValueError):
@@ -64,6 +71,7 @@ GTree = Union[InputLeaf, UnitLeaf, LabelEdge, Tensor]
 
 # a normal form is exactly a colored decorated tuple
 NormalForm = DecoratedTuple
+_new = object.__new__
 
 
 def leaf_count(t: GTree) -> int:
@@ -301,28 +309,60 @@ def graft(outer: GTree, j: int, inner: GTree) -> GTree:
     return _map_leaves(outer, subst)
 
 
-def compose_normal(outer: NormalForm, j: int, inner: NormalForm) -> NormalForm:
-    """Grafting computed directly on normal forms."""
-    r, s = len(outer.hues), len(inner.hues)
-    if not 1 <= j <= r:
+def grafter(outer: NormalForm, j: int) -> Callable[[NormalForm], NormalForm]:
+    """Grafting into slot j of ``outer``, as a function of the inner form.
+
+    A slot out of range raises ``TreeError`` here; an empty inner form, or
+    one of another group or output color, raises it at the call.  ``plans``
+    keeps, per inner arity s, what the splice needs of ``outer``."""
+    if not 1 <= j <= len(outer.hues):
         raise TreeError(f"slot {j} out of range")
-    if s == 0:
-        raise TreeError("cannot graft an empty tree into a slot")
-    group = outer.group
-    if inner.group is not group or _output(inner) != outer.hues[j - 1]:
-        raise TreeError("output color of the grafted tree does not match")
-    # slot j, at outer position P, opens into the inner slots and positions
-    state, inner_state = outer.state, inner.state
-    P = state[j - 1]
-    images = [p + s - 1 if p > P else p for p in state[:r]]
-    images[j - 1:j] = map((P - 1).__add__, inner_state[:s])
-    k = r + P - 1  # where b_P sits
-    row = group.mul[state[k]]
-    hues = outer.hues[:j - 1] + inner.hues + outer.hues[j:]
-    # the spliced positions contribute b_P g b_P^-1, as slot j did
-    return NormalForm._trusted(
-        group, (*images, *state[r:k], *map(row.__getitem__, inner_state[s:]),
-                *state[k + 1:]), hues, outer.out)
+    plans = {}
+
+    def splice(inner: NormalForm) -> NormalForm:
+        inner_hues = inner.hues
+        s = len(inner_hues)
+        plan = plans.get(s)
+        if plan is None:
+            if s == 0:
+                raise TreeError("cannot graft an empty tree into a slot")
+            # slot j, at outer position P, opens into the inner slots and
+            # positions; later outer positions move up by s - 1
+            group, state, hues = outer.group, outer.state, outer.hues
+            r = len(hues)
+            P = state[j - 1]
+            k = r + P - 1  # where b_P sits
+            if s == 1 or P == r:  # no outer position moves
+                left, right = state[:j - 1], state[j:r]
+            else:
+                images = [p + s - 1 if p > P else p for p in state[:r]]
+                left, right = images[:j - 1], images[j:]
+            plan = plans[s] = (
+                group, hues[j - 1], hues[:j - 1], hues[j:], left,
+                (P - 1).__add__, right, state[r:k],
+                group.mul[state[k]].__getitem__, state[k + 1:])
+        group, need, head, tail, left, shift, right, before, row, after = plan
+        got = inner.out
+        if got is None:
+            got = _output(inner)
+        if got != need or inner.group is not group:
+            raise TreeError("output color of the grafted tree does not match")
+        inner_state = inner.state
+        # the spliced positions contribute b_P g b_P^-1, as slot j did
+        composite = _new(NormalForm)
+        _set_group(composite, group)
+        _set_state(composite, (*left, *map(shift, inner_state[:s]), *right,
+                               *before, *map(row, inner_state[s:]), *after))
+        _set_hues(composite, head + inner_hues + tail)
+        _set_out(composite, outer.out)
+        return composite
+
+    return splice
+
+
+def compose_normal(outer: NormalForm, j: int, inner: NormalForm) -> NormalForm:
+    """Grafting computed directly on normal forms, by a grafter used once."""
+    return grafter(outer, j)(inner)
 
 
 # -- concrete syntax -----------------------------------------------------

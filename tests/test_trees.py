@@ -1,11 +1,13 @@
 """Tree normalization, denormalization, grafting, and the fast splice."""
+import itertools
 import random
 
 import pytest
 
 from gbraids.braids import Permutation
 from gbraids.groups import GroupMismatchError, make_group
-from gbraids.hurwitz import boundary_colors, color_condition, component_objects
+from gbraids.hurwitz import (DecoratedTuple, _output, boundary_colors,
+                             color_condition, component_objects)
 from gbraids.trees import (
     InputLeaf,
     LabelEdge,
@@ -16,6 +18,7 @@ from gbraids.trees import (
     denormalize,
     format_tree,
     graft,
+    grafter,
     identity_normal_form,
     leaf_count,
     leaf_offset,
@@ -29,6 +32,7 @@ from gbraids.trees import (
 )
 
 S3 = make_group("S3")
+C2 = make_group("C2")
 
 
 def el(i):
@@ -302,3 +306,101 @@ def test_identity_normal_form_is_a_unit():
             assert compose_normal(nf, j, identity_normal_form(nf.colors[j - 1])) == nf
         out = color_condition(nf.sigma, nf.b, nf.colors)
         assert compose_normal(identity_normal_form(out), 1, nf) == nf
+
+
+def _points_by_output(group, max_r):
+    """Per output color index, every point of arity 1..max_r in the
+    component of that output, with the arities interleaved (1, 2, 3, 1, 2,
+    3, ...) so that consecutive points mostly differ in arity."""
+    els = group.elements()
+    by_output = {}
+    for h in els:
+        by_arity = [[x for colors in itertools.product(els, repeat=r)
+                     for x in component_objects(colors, h)]
+                    for r in range(1, max_r + 1)]
+        by_output[h.index] = [x for row in itertools.zip_longest(*by_arity)
+                              for x in row if x is not None]
+    return by_output
+
+
+def _check_grafter(outer, j, inners):
+    """One grafter on ``inners`` against a fresh ``compose_normal`` each."""
+    splice = grafter(outer, j)
+    for inner in inners:
+        got, want = splice(inner), compose_normal(outer, j, inner)
+        assert got == want
+        assert got.out == want.out == outer.out
+
+
+def test_one_grafter_matches_compose_normal_on_c2():
+    by_output = _points_by_output(C2, 3)
+    outers = [x for points in by_output.values() for x in points]
+    assert len(outers) == 4 + 32 + 384  # r! |G|^r |G|^r for r = 1, 2, 3
+    for outer in outers:
+        for j in range(1, outer.size + 1):
+            _check_grafter(outer, j, by_output[outer.hues[j - 1]])
+            # a checked outer carries no output, and neither do composites
+            bare = DecoratedTuple(outer.b, outer.sigma, outer.colors)
+            _check_grafter(bare, j, by_output[outer.hues[j - 1]][:7])
+
+
+def test_one_grafter_matches_compose_normal_on_an_s3_sample():
+    rng = random.Random(59)
+    els = S3.elements()
+
+    def point(r, h):
+        while True:
+            points = component_objects(
+                tuple(rng.choice(els) for _ in range(r)), h)
+            if points:
+                return rng.choice(points)
+
+    for _ in range(60):
+        outer = point(rng.randint(1, 3), rng.choice(els))
+        j = rng.randint(1, outer.size)
+        need = els[outer.hues[j - 1]]
+        _check_grafter(outer, j, [point(1 + n % 3, need) for n in range(12)])
+
+
+def _error(call):
+    with pytest.raises(TreeError) as raised:
+        call()
+    return str(raised.value)
+
+
+def test_grafter_raises_as_compose_normal():
+    outer = next(_components_with_output((el(1), el(3))))[1][0]
+    fits = component_objects((el(1),), el(1))[0]
+    for j in (0, 3):  # out of range: the grafter raises before any inner
+        assert _error(lambda: grafter(outer, j)) == \
+            _error(lambda: compose_normal(outer, j, fits))
+    wrong = component_objects((el(0),), el(0))[0]
+    empty = component_objects((), el(0))[0]
+    # the C2 inner carries the output index that slot 1 needs
+    other = component_objects((C2.element(1),), C2.element(1))[0]
+    assert other.out == outer.hues[0] != wrong.out
+    splice = grafter(outer, 1)
+    for inner in (empty, other, wrong):
+        assert _error(lambda: splice(inner)) == \
+            _error(lambda: compose_normal(outer, 1, inner))
+    # an output the first call computes and stores and the second reads
+    first, second = (DecoratedTuple(wrong.b, wrong.sigma, wrong.colors)
+                     for _ in range(2))
+    assert first.out is None and second.out is None
+    assert _error(lambda: splice(first)) == \
+        _error(lambda: compose_normal(outer, 1, first))
+    assert _error(lambda: compose_normal(outer, 1, second)) == \
+        _error(lambda: splice(second))
+    assert first.out == second.out == wrong.out
+    # a grafter that raised still splices
+    assert splice(fits) == compose_normal(outer, 1, fits)
+
+
+def test_grafter_passes_on_the_outer_output_of_the_call():
+    built = next(_components_with_output((el(1), el(3))))[1][0]
+    outer = DecoratedTuple(built.b, built.sigma, built.colors)
+    fits = component_objects((el(1),), el(1))[0]
+    splice = grafter(outer, 1)
+    assert splice(fits).out is None
+    _output(outer)  # stored on the outer after the grafter was built
+    assert splice(fits).out == outer.out == built.out
