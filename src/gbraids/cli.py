@@ -203,9 +203,12 @@ def _run_check(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]:
 
 
 def _run_grothendieck(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]:
+    # each presentation has r!|G|^r objects; r > cap.bit_length() alone
+    # shows r! >= 2^(r-1) > cap
     r, cap = args.strands, config.bounds[2]
-    if group.order > 1 and r > cap.bit_length() or group.order ** r > cap:
-        raise CapExceeded(f"{group.order}^{r} objects exceed the cap {cap}")
+    if r > cap.bit_length() or math.factorial(r) * group.order ** r > cap:
+        raise CapExceeded(
+            f"{r}!*{group.order}^{r} objects exceed the cap {cap}")
     report = compare_grothendieck_to_direct(group, r)
     code = EXIT_PASS if not report["failures"] else EXIT_FAIL
     return {"strands": r, **report}, code

@@ -102,6 +102,14 @@ class DecoratedTuple:
         _set_out(x, out)
         return x
 
+    def __eq__(self, other):
+        """The generated ``__eq__`` less its two field tuples; the hash and
+        the order stay generated."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.state == other.state and self.hues == other.hues
+                and self.group is other.group)
+
     @property
     def size(self) -> int:
         return len(self.state) if self.hues is None else len(self.hues)
@@ -240,6 +248,30 @@ def _move(state: tuple[int, ...], letter: int, group: FiniteGroup,
     else:
         t[k], t[k + 1] = c, mul[group.inv[conj[c][hues[q]]]][a]
     return tuple(t)
+
+
+def _act_columns(letters, images, columns, hues, group: FiniteGroup):
+    """``braid_act`` by a braid word's ``letters`` on colored points held
+    column by column, with ``_move``'s formulas: ``images`` are sigma's
+    one-line images, the same at every point, ``columns`` the decoration
+    indices by position and ``hues`` the color indices by slot, each a tuple
+    over the points.  Returns the moved images and decoration columns."""
+    images, columns = list(images), list(columns)
+    mul, inv, conj = group.mul, group.inv, group.conj
+    for letter in reversed(letters):
+        j = abs(letter)
+        p, q = images.index(j), images.index(j + 1)
+        images[p], images[q] = j + 1, j
+        a, c = columns[j - 1], columns[j]
+        if letter > 0:
+            columns[j - 1] = tuple([mul[conj[x][g]][y]
+                                    for x, g, y in zip(a, hues[p], c)])
+            columns[j] = a
+        else:
+            columns[j - 1] = c
+            columns[j] = tuple([mul[inv[conj[y][g]]][x]
+                                for y, g, x in zip(c, hues[q], a)])
+    return tuple(images), columns
 
 
 def hurwitz_generator(x: DecoratedTuple, letter: int) -> DecoratedTuple:

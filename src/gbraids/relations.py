@@ -19,9 +19,9 @@ c         T(A,B) -> T(L[|A|]B, A)                     invertible
 n for the leaf counts of the two children and q for the number of leaves to
 the left, it contributes the positive block crossing of the m leaves over
 the n leaves at offset q (the inverse letter contributes the inverse braid).
-A word's braid accumulates these contributions, and is always re-checked
-to map the source normal form to the target normal form under the
-decorated-tuple action.
+A word's braid accumulates these contributions, and a relation check
+re-checks that it maps the source normal form to the target normal form
+under the decorated-tuple action.
 
 The table in ``relation_table.json`` lists the defining relations as pairs
 of parallel words; ``check_all_relations`` confirms that both sides reach
@@ -38,8 +38,10 @@ color and label the tuple of element indices it takes there.  ``_instances``
 parses a table entry's source once per group into such a template, and
 ``interpret_morphism`` traces a concrete tree as one with one assignment.
 Per word the program keeps each letter's generator, keys and sign (the
-scalars of ``algebra``), the braid, the target and the normal forms that
-the check above needs at every instance.
+scalars of ``algebra``), the braid, the target, and the normal forms of
+source and target as columns over the assignments.  Only when a relation
+check asks does it apply the braid to the source columns, once for all
+the assignments, and compare them column by column with the target's.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ from typing import Optional
 
 from .braids import BraidWord, block_transposition, braids_equal
 from .groups import FiniteGroup
-from .hurwitz import DecoratedTuple, braid_act
+from .hurwitz import _act_columns
 from .trees import (GTree, InputLeaf, LabelEdge, Tensor, TreeError, UnitLeaf,
                     _by_slot, _checked_leaves, _map_leaves, leaf_count,
                     leaf_offset, parse_tree, replace_at, subtree_at)
@@ -209,7 +211,7 @@ def interpret_morphism(source: GTree, word: MorphismWord,
     if g is None:
         raise RelationError("cannot interpret over an undetermined group")
     program = _Program(g, source, (word,), mutate=mutate)
-    if (error := program.fault(0, 0)[0]) is not None:
+    if (error := program.fault(0, 0)) is not None:
         raise error
     return InterpretedMorphism(source, program.target(0, 0), program.braids[0])
 
@@ -232,13 +234,15 @@ class _Program:
     element indices at each assignment: a symbol is its column, a constant
     a repeated index, and a concrete tree has one empty assignment.  Per
     word, ``sides`` keeps each letter's generator, keys by assignment and
-    sign; ``open`` keeps, tagged with its word, each equality a letter
-    needs and a shape error, which ends the word."""
+    sign; ``ends`` the normal forms of its source and target, each as
+    sigma's images, the same at every assignment, and the decoration and
+    hue columns; ``open`` keeps, tagged with its word, each equality a
+    letter needs and a shape error, which ends the word."""
 
     def __init__(self, group: FiniteGroup, template: GTree, morphisms,
                  symbols=(), assignments=((),), mutate=None) -> None:
         self.group, self.open, self.sides = group, [], []
-        self.braids, self.targets, self.forms = [], [], []
+        self.braids, self.targets, self.ends = [], [], []
         self.unit = (0,) * len(assignments)
         columns = dict(zip(symbols, zip(*assignments)))
 
@@ -248,7 +252,7 @@ class _Program:
         tree = _map_leaves(template, lambda leaf: InputLeaf(
             leaf.slot, indices(leaf.color)), indices)
         for self.word, morphism in enumerate(morphisms):
-            current, terms, written, forms = tree, [], [], None
+            current, terms, written, ends = tree, [], [], None
             try:
                 flip = self.word == 0 and _flip(mutate)
                 for letter in morphism.letters:
@@ -264,13 +268,16 @@ class _Program:
                     terms.append((letter.gen, list(zip(*self._key(
                         site, letter.gen))), -1 if letter.inverse else 1))
                     current = after
-                forms = self._form(tree), self._form(current)
+                ends = []  # bad slots raise, as in ``normalize``
+                for entries in map(self._leaves, (tree, current)):
+                    images, hues = _by_slot(entries)
+                    ends.append((tuple(images), [e[1] for e in entries], hues))
             except (RelationError, TreeError) as exc:
                 self.open.append((self.word, None, None, type(exc), str(exc)))
             self.sides.append(terms)
             self.braids.append(BraidWord(leaf_count(tree), tuple(written)))
             self.targets.append(current)
-            self.forms.append(forms)
+            self.ends.append(ends)
 
     def mul(self, x, y) -> tuple[int, ...]:
         mul = self.group.mul
@@ -301,18 +308,6 @@ class _Program:
                          for a, h, g in zip(acc, above, color)])
         return acc
 
-    def _form(self, t: GTree):
-        """The normal form of a traced tree as a function of the assignment
-        index, which holds no reference to the program: a cycle would keep
-        the chunk alive until a full collection.  Bad slots raise, as in
-        ``normalize``."""
-        entries = self._leaves(t)
-        images, hues = _by_slot(entries)
-        group, images = self.group, tuple(images)
-        return lambda i: DecoratedTuple._trusted(
-            group, images + tuple([e[1][i] for e in entries]),
-            tuple([g[i] for g in hues]))
-
     def require(self, x, y, message: str) -> None:
         if x != y:
             self.open.append((self.word, x, y, RelationError, message))
@@ -338,16 +333,35 @@ class _Program:
         return [[((gen, keys[i]), sign) for gen, keys, sign in side]
                 for side in self.sides]
 
-    def fault(self, i: int, w: int, source=None):
+    @functools.cached_property
+    def inconsistent(self) -> list[set[int]]:
+        """Per word, the assignments at which its braid does not carry the
+        source normal form to the target's: all of them when the images
+        differ, else those where a decoration or hue column differs."""
+        found = []
+        for braid, ends in zip(self.braids, self.ends):
+            bad = set()
+            if ends is not None:
+                (images, columns, hues), target = ends
+                images, columns = _act_columns(
+                    braid.letters, images, columns, hues, self.group)
+                if images != target[0]:
+                    bad.update(range(len(self.unit)))
+                else:
+                    for x, y in zip(columns + hues, target[1] + target[2]):
+                        if x != y:
+                            bad.update(i for i, (a, b) in enumerate(zip(x, y))
+                                       if a != b)
+            found.append(bad)
+        return found
+
+    def fault(self, i: int, w: int):
         """Word ``w``'s first open error failing at ``i``, else that of its
-        braid not carrying the source normal form to the target's, or None;
-        and the source normal form at ``i``, once built, for the next word."""
-        error, braid = self.failure(i, w), self.braids[w]
-        if error is None and braid.strands > 0:
-            source = source or self.forms[w][0](i)
-            if braid_act(braid, source) != self.forms[w][1](i):
-                error = RelationError(_INCONSISTENT)
-        return error, source
+        braid not carrying the source normal form to the target's, or None."""
+        error = self.failure(i, w)
+        if error is None and i in self.inconsistent[w]:
+            error = RelationError(_INCONSISTENT)
+        return error
 
     def target(self, w: int, i: int) -> GTree:
         """Word ``w``'s target at assignment ``i``, as a tree of elements."""
@@ -362,10 +376,8 @@ class _Program:
     def check(self, i: int) -> Optional[str]:
         """Why the words disagree at ``i`` short of their braids, or None: a
         side's failing letter or normal-form check, then the targets."""
-        source = None
         for w, side in enumerate(("left", "right")):
-            error, source = self.fault(i, w, source)
-            if error is not None:
+            if (error := self.fault(i, w)) is not None:
                 return f"{side} side: {error}"
         if self.targets_differ and self.target(0, i) != self.target(1, i):
             return "targets differ"

@@ -319,24 +319,37 @@ def test_cap_exit_codes(capsys):
     assert code == 3
     assert doc["results"]["error"] == "6^4 tuples exceed the cap 10"
     # a strand count over the cap's bit length is refused without the power
-    for command, noun in [("orbits", "tuples"), ("grothendieck", "objects")]:
+    for command, count in [("orbits", "6^1000000000000 tuples"),
+                           ("grothendieck",
+                            "1000000000000!*6^1000000000000 objects")]:
         code, doc = run_json(capsys, [command, "--group", "S3", "--strands",
                                       "1000000000000"])
         assert code == 3
-        assert doc["results"]["error"] == \
-            f"6^1000000000000 {noun} exceed the cap 1000000"
-        # at the cap's bit length the power itself decides
+        assert doc["results"]["error"] == f"{count} exceed the cap 1000000"
+    # at the cap's bit length the count itself decides; grothendieck counts
+    # the r!|G|^r objects of its presentations
+    for command, count, fits in [("orbits", "2^4 tuples", 8),
+                                 ("grothendieck", "4!*2^4 objects", 48)]:
         code, doc = run_json(capsys, [command, "--group", "C2", "--strands",
                                       "4", "--bounds", "cap=15"])
         assert (code, doc["results"]) == \
-            (3, {"error": f"2^4 {noun} exceed the cap 15"})
+            (3, {"error": f"{count} exceed the cap 15"})
         code, doc = run_json(capsys, [command, "--group", "C2", "--strands",
-                                      "3", "--bounds", "cap=8"])
+                                      "3", "--bounds", f"cap={fits}"])
         assert code == 0
-        # a trivial group has one tuple at any strand count
-        code, doc = run_json(capsys, [command, "--group", "C1", "--strands",
-                                      "5", "--bounds", "cap=1"])
-        assert code == 0
+    code, doc = run_json(capsys, ["grothendieck", "--group", "C2",
+                                  "--strands", "3", "--bounds", "cap=47"])
+    assert (code, doc["results"]) == \
+        (3, {"error": "3!*2^3 objects exceed the cap 47"})
+    # a trivial group has one tuple at any strand count, but r! objects
+    code, doc = run_json(capsys, ["orbits", "--group", "C1", "--strands",
+                                  "5", "--bounds", "cap=1"])
+    assert code == 0
+    for spec, r, count in [("S3", 7, "7!*6^7"), ("C1", 11, "11!*1^11")]:
+        code, doc = run_json(capsys, ["grothendieck", "--group", spec,
+                                      "--strands", str(r)])
+        assert (code, doc["results"]) == \
+            (3, {"error": f"{count} objects exceed the cap 1000000"})
     code, doc = run_json(capsys, ["check", "--group", "S3", "--operad",
                                   "--bounds", "cap=400"])
     assert code == 3

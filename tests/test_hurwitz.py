@@ -17,6 +17,7 @@ from gbraids.hurwitz import (
     ColorSignature,
     DecoratedTuple,
     HurwitzError,
+    _act_columns,
     bare_space,
     boundary_colors,
     braid_act,
@@ -240,6 +241,36 @@ def test_braid_act_is_an_action():
         u, v = mk(), mk()
         assert braid_act(u * v, x) == braid_act(u, braid_act(v, x))
         assert braid_act(u, x).sigma == underlying_permutation(u) @ x.sigma
+
+
+@pytest.mark.parametrize("length", [1, 4096])
+@pytest.mark.parametrize("spec", ["C2", "S3", "D4"])
+def test_column_action_matches_braid_act_at_every_point(spec, length):
+    """The columnar move on whole columns of points equals ``braid_act`` on
+    each point's ``DecoratedTuple``, for words with letters of both signs."""
+    group = make_group(spec)
+    rng = random.Random(f"{spec}-{length}")
+    for _ in range(40 if length == 1 else 2):
+        r = rng.randint(2, 5)
+        images = list(range(1, r + 1))
+        rng.shuffle(images)
+        columns, hues = ([tuple(rng.randrange(group.order)
+                                for _ in range(length)) for _ in range(r)]
+                         for _ in range(2))
+        letters = [rng.randint(1, r - 1), -rng.randint(1, r - 1)] + [
+            rng.choice([1, -1]) * rng.randint(1, r - 1)
+            for _ in range(rng.randint(0, 8))]
+        rng.shuffle(letters)
+        word = BraidWord(r, tuple(letters))
+        given = (tuple(images), list(columns), list(hues))
+        moved, moved_columns = _act_columns(word.letters, *given, group)
+        assert given == (tuple(images), columns, hues)  # inputs left as given
+        for i in range(length):
+            colors = tuple(h[i] for h in hues)
+            x = DecoratedTuple._trusted(
+                group, tuple(images) + tuple(c[i] for c in columns), colors)
+            assert braid_act(word, x) == DecoratedTuple._trusted(
+                group, moved + tuple(c[i] for c in moved_columns), colors)
 
 
 def test_holonomies_intertwine_with_bare_move():

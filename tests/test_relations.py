@@ -11,6 +11,8 @@ import pytest
 import gbraids
 
 from gbraids import relations
+from gbraids.algebra import (builtin_group_example, check_coherence,
+                             coherence_equations)
 from gbraids.groups import make_group
 from gbraids.relations import (
     RELATION_IDS,
@@ -412,6 +414,18 @@ def test_wrong_braid_shadows_fail_the_normal_form_check(monkeypatch):
         assert expected and all(
             f["reason"].startswith("left side: internal inconsistency: ")
             for f in expected), entry["id"]
+
+
+def test_only_relation_checks_act_on_columns(monkeypatch):
+    """The braid is applied to the assignment columns only when a relation
+    check asks, so the scalar paths run with the columnar move broken."""
+    def broken(*args):
+        raise AssertionError("columnar move called")
+    monkeypatch.setattr(relations, "_act_columns", broken)
+    assert len(coherence_equations(C2)) == 89
+    assert check_coherence(builtin_group_example())["coherent"] is True
+    with pytest.raises(AssertionError, match="columnar move called"):
+        check_all_relations(C2, ["hexagon-right"])
 
 
 def test_import_does_not_read_the_table():
