@@ -22,6 +22,7 @@ assignment.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -36,6 +37,7 @@ class AlgebraError(ValueError):
     pass
 
 
+@functools.cache
 def variable_order(group: FiniteGroup) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """Canonical flat ordering of all scalar variables for one group."""
     return tuple((gen, key) for gen in GENERATORS for key in

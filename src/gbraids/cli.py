@@ -145,7 +145,7 @@ def _run_orbits(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]
         space = {"space": "bare", "strands": r}
     results = dict(space)
     results["points"] = len(points)
-    if args.sample:
+    if args.sample is not None:
         rng = random.Random(config.seed)
         starts = [rng.choice(points) for _ in range(args.sample)] \
             if points else []

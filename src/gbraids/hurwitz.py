@@ -32,9 +32,9 @@ and the orbit search, which follows the positive generators alone: the braid
 group acts on a finite set, so each generator permutes it with some finite
 order k, and its inverse is its (k-1)-st power.
 
-A colored point also carries the index of its boundary output in ``out``,
-set by the builders that know it by construction and otherwise stored by
-``_output`` on first use; it takes no part in equality, order or hashing.
+Every colored point carries the index of its boundary output in ``out``
+from construction, and a bare point carries None; ``out`` takes no part in
+equality, order or hashing.
 """
 from __future__ import annotations
 
@@ -74,26 +74,29 @@ class DecoratedTuple:
         """Check the elements and store them as indices."""
         if (sigma is None) != (colors is None):
             raise HurwitzError("sigma and colors must be given together")
-        entries, images, hues = tuple(b), (), None
+        entries, images, hues, out = tuple(b), (), None, None
         if colors is not None:
             if len(colors) != len(b):
                 raise HurwitzError("colors and decorations differ in length")
             if sigma.size != len(b):
                 raise HurwitzError("permutation size mismatch")
             entries += tuple(colors)
-            images, hues = sigma.images, tuple(c.index for c in colors)
+            images, hues, out = sigma.images, tuple(c.index for c in colors), 0
         group = entries[0].group if entries else None
         _require_group(group, entries)
+        decorations = tuple(e.index for e in b)
+        if hues:
+            out = _holonomy(group, zip(decorations, _arriving(images, hues)))
         _set_group(self, group)
-        _set_state(self, images + tuple(e.index for e in b))
+        _set_state(self, images + decorations)
         _set_hues(self, hues)
-        _set_out(self, None)
+        _set_out(self, out)
 
     @classmethod
     def _trusted(cls, group, state, hues=None, out=None) -> "DecoratedTuple":
         """Build without the checks of ``__post_init__``, for callers whose
-        state and hues are already valid indices of ``group``, and whose
-        ``out``, when given, is the index of the boundary output."""
+        state, hues and ``out`` (the boundary output, None when bare) are
+        already valid indices of ``group``."""
         x = object.__new__(cls)
         # a point with no entries has no group, as in its checked build
         _set_group(x, group if state else None)
@@ -181,17 +184,6 @@ def _arriving(images, hues) -> list[int]:
     return arriving
 
 
-def _output(x: DecoratedTuple) -> int:
-    """Index of the boundary output of a colored point with entries: the
-    carried one, or else computed once and stored."""
-    out = x.out
-    if out is None:
-        r = len(x.hues)
-        out = _holonomy(x.group, zip(x.state[r:], _arriving(x.state, x.hues)))
-        _set_out(x, out)
-    return out
-
-
 def color_condition(sigma: Permutation, b: tuple[GroupElement, ...],
                     colors: tuple[GroupElement, ...]) -> GroupElement:
     """Product of the position holonomies ``b_p g_{sigma^{-1}(p)} b_p^{-1}``
@@ -220,7 +212,7 @@ def boundary_colors(x: DecoratedTuple) -> ColorSignature:
         raise HurwitzError("the empty point has no boundary")
     if x.is_bare():
         return ColorSignature(x.b, product_of(x.b, x.group))
-    return ColorSignature(x.colors, x.group.elements()[_output(x)])
+    return ColorSignature(x.colors, x.group.elements()[x.out])
 
 
 def _move(state: tuple[int, ...], letter: int, group: FiniteGroup,
@@ -280,7 +272,7 @@ def hurwitz_generator(x: DecoratedTuple, letter: int) -> DecoratedTuple:
     if not 1 <= j <= n - 1:
         raise HurwitzError(f"generator {letter} out of range for size {n}")
     return DecoratedTuple._trusted(
-        x.group, _move(x.state, letter, x.group, x.hues), x.hues)
+        x.group, _move(x.state, letter, x.group, x.hues), x.hues, x.out)
 
 
 def braid_act(w: BraidWord, x: DecoratedTuple) -> DecoratedTuple:
@@ -290,7 +282,7 @@ def braid_act(w: BraidWord, x: DecoratedTuple) -> DecoratedTuple:
     state = x.state
     for l in reversed(w.letters):
         state = _move(state, l, x.group, x.hues)
-    return DecoratedTuple._trusted(x.group, state, x.hues)
+    return DecoratedTuple._trusted(x.group, state, x.hues, x.out)
 
 
 def conjugate_act(h: GroupElement, x: DecoratedTuple) -> DecoratedTuple:
@@ -303,8 +295,9 @@ def conjugate_act(h: GroupElement, x: DecoratedTuple) -> DecoratedTuple:
     _require_group(x.group, (h,))
     images, decorations = x.sort_key()
     row = (x.group.conj if x.is_bare() else x.group.mul)[h.index]
+    out = x.out if x.is_bare() else x.group.conj[h.index][x.out]
     return DecoratedTuple._trusted(
-        x.group, images + tuple(row[t] for t in decorations), x.hues)
+        x.group, images + tuple(row[t] for t in decorations), x.hues, out)
 
 
 # -- components and orbits -----------------------------------------------
@@ -380,15 +373,16 @@ def partition(points) -> list[tuple[DecoratedTuple, ...]]:
     (one boundary component, or one bare space), ordered by representative.
 
     The states are walked in sorted order, and the search starts from each
-    one not yet seen, which is the least state of its orbit."""
+    one not yet seen, which is the least state of its orbit.  Each point
+    carries the output of ``points[0]``, that of the component."""
     points = list(points)
     if not points:
         return []
-    group, hues = points[0].group, points[0].hues
+    group, hues, out = points[0].group, points[0].hues, points[0].out
     seen, orbits = set(), []
     for s in sorted(x.state for x in points):
         if s not in seen:
-            orbits.append(tuple(DecoratedTuple._trusted(group, t, hues)
+            orbits.append(tuple(DecoratedTuple._trusted(group, t, hues, out)
                                 for t in _search(s, group, hues, seen)))
     return orbits
 

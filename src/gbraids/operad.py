@@ -15,9 +15,9 @@ with ``|G|^(2r) r!``.
 A report is complete when every stream was exhausted below the cap;
 otherwise it is a capped prefix of the (fixed) enumeration order.
 
-A normal form carries the index of its output color (``sigma_action``
-keeps it), so a splice checks an inner operand drawn from a component by
-one comparison of two ints.  The streams splice through
+Every normal form carries the index of its output color from the moment
+it is built (``sigma_action`` keeps it), so a splice checks an inner
+operand by one comparison of two ints.  The streams splice through
 ``trees.grafter``, which does the work that depends on the outer operand
 once per grafter, and they share what repeats:
 
@@ -43,7 +43,7 @@ from functools import lru_cache
 
 from .braids import Permutation, all_permutations, cable_permutation
 from .groups import FiniteGroup
-from .hurwitz import DecoratedTuple, _output, component_objects
+from .hurwitz import DecoratedTuple, _arriving, _holonomy, component_objects
 from .relations import tally
 from .trees import compose_normal, grafter, identity_normal_form
 
@@ -85,8 +85,10 @@ def all_operations(group: FiniteGroup, r: int):
     indices = range(group.order)
     for hues in itertools.product(indices, repeat=r):
         for images in itertools.permutations(range(1, r + 1)):
+            arriving = _arriving(images, hues)
             for b in itertools.product(indices, repeat=r):
-                yield DecoratedTuple._trusted(group, images + b, hues)
+                yield DecoratedTuple._trusted(
+                    group, images + b, hues, _holonomy(group, zip(b, arriving)))
 
 
 # -- axiom checking ------------------------------------------------------
@@ -150,7 +152,7 @@ def _unit_instances(group, bounds):
     unit_into = [grafter(unit, 1) for unit in units]
     for r in range(1, bounds.max_arity + 1):
         for x in all_operations(group, r):
-            ok = unit_into[_output(x)](x) == x
+            ok = unit_into[x.out](x) == x
             for j in range(1, r + 1):
                 ok = ok and compose_normal(x, j, units[x.hues[j - 1]]) == x
             yield None if ok else f"r={r}"

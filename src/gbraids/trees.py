@@ -11,15 +11,15 @@ both tensor children, and conjugates the output color) and records the
 result as a colored decorated tuple, built from indices alone: ``sigma``
 maps slot to position, the decoration ``b_p`` is the product of the labels
 accumulated along the path to the leaf in position p, and the colors stay
-indexed by slot.  ``denormalize`` rebuilds the left-parenthesized comb, so
-the two maps are mutually inverse bijections between normal forms and
-component objects.
+indexed by slot; the same walk computes the output color, which the normal
+form carries.  ``denormalize`` rebuilds the left-parenthesized comb, so the
+two maps are mutually inverse bijections between normal forms and component
+objects.
 
 Grafting substitutes a tree for an input leaf of matching color;
 ``grafter(outer, j)`` performs the same operation directly on the index
 states of normal forms, as a function of the inner form.  Each call checks
-the inner output color (the one the inner form carries, or else its
-holonomy product, computed once and stored), splices the inner positions
+the output color that the inner form carries, splices the inner positions
 into the outer position P of the replaced slot and left-multiplies the
 inner decorations by the outer one, b_P.  The work that depends on the
 outer form alone (P, the row of b_P, the slices of its hues and state, and
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .groups import FiniteGroup, GroupElement, GroupMismatchError
-from .hurwitz import (DecoratedTuple, _holonomy, _output, _set_group,
-                      _set_hues, _set_out, _set_state)
+from .hurwitz import (DecoratedTuple, _set_group, _set_hues, _set_out,
+                      _set_state)
 
 
 class TreeError(ValueError):
@@ -94,14 +94,14 @@ def leaf_count(t: GTree) -> int:
 
 def _leaves(t: GTree, mismatch: type[Exception]):
     """One iterative preorder walk.  Returns the group of the first leaf or
-    label (None for an all-unit tree) and, in position order, one
-    ``(slot, label, color)`` index triple per input leaf, where the label is
-    the product of the labels on the path to the leaf.
+    label (None for an all-unit tree), in position order one ``(slot, label,
+    color)`` index triple per input leaf, where the label is the product of
+    the labels on the path to the leaf, and the ``output_color`` index.
     Raises ``mismatch`` at the first element of another group."""
     group = None
     entries = []
     stack = []
-    node, acc = t, 0  # index 0 is the identity of every group
+    node, acc, out = t, 0, 0  # index 0 is the identity of every group
     while True:
         kind = type(node)
         if kind is Tensor:
@@ -115,24 +115,26 @@ def _leaves(t: GTree, mismatch: type[Exception]):
                     raise mismatch(f"mixed groups in one tree: {group.label} "
                                    f"vs {element.group.label}")
                 group = element.group
+                mul, conj = group.mul, group.conj
             if kind is LabelEdge:
-                acc = group.mul[acc][element.index]
+                acc = mul[acc][element.index]
                 node = node.child
                 continue
             entries.append((node.slot, acc, element.index))
+            out = mul[out][conj[acc][element.index]]
         if not stack:
-            return group, entries
+            return group, entries, out
         node, acc = stack.pop()
 
 
 def output_color(t: GTree, group: Optional[FiniteGroup] = None) -> GroupElement:
     """The leaf colors conjugated by the labels above them, multiplied in
     position order.  ``group`` is used only when the tree is all units."""
-    g, entries = _leaves(t, GroupMismatchError)
+    g, _, out = _leaves(t, GroupMismatchError)
     g = g or group
     if g is None:
         raise TreeError("cannot determine the group of an all-unit tree")
-    return g.elements()[_holonomy(g, (e[1:] for e in entries))]
+    return g.elements()[out]
 
 
 def _checked_leaves(t: GTree, group: Optional[FiniteGroup]):
@@ -140,15 +142,15 @@ def _checked_leaves(t: GTree, group: Optional[FiniteGroup]):
     than that of the first leaf or label, or than ``group`` when both are
     given, raises ``TreeError``, and so do slots that are not 1..r, each
     once.  Returns the group (``group`` for an all-unit tree), the
-    decoration index of each position, and per slot its position and its
-    color index."""
-    g, entries = _leaves(t, TreeError)
+    decoration index of each position, per slot its position and its color
+    index, and the output color index."""
+    g, entries, out = _leaves(t, TreeError)
     if g is None:
         g = group
     elif group is not None and group is not g:
         raise TreeError(f"mixed groups in one tree: {g.label} "
                         f"vs {group.label}")
-    return g, tuple([e[1] for e in entries]), *_by_slot(entries)
+    return g, tuple([e[1] for e in entries]), *_by_slot(entries), out
 
 
 def _by_slot(entries) -> tuple[list, list]:
@@ -233,10 +235,10 @@ def leaf_offset(t: GTree, path: tuple[int, ...]) -> int:
 def normalize(t: GTree, group: Optional[FiniteGroup] = None) -> NormalForm:
     """The normal form of a tree, after the checks of ``validate``, which
     raise ``TreeError``.  ``group`` is needed only for an all-unit tree."""
-    g, decorations, images, hues = _checked_leaves(t, group)
+    g, decorations, images, hues, out = _checked_leaves(t, group)
     if g is None:
         raise TreeError("cannot normalize an all-unit tree without a group")
-    return NormalForm._trusted(g, tuple(images) + decorations, tuple(hues))
+    return NormalForm._trusted(g, (*images, *decorations), tuple(hues), out)
 
 
 def denormalize(nf: NormalForm) -> GTree:
@@ -342,10 +344,7 @@ def grafter(outer: NormalForm, j: int) -> Callable[[NormalForm], NormalForm]:
                 (P - 1).__add__, right, state[r:k],
                 group.mul[state[k]].__getitem__, state[k + 1:])
         group, need, head, tail, left, shift, right, before, row, after = plan
-        got = inner.out
-        if got is None:
-            got = _output(inner)
-        if got != need or inner.group is not group:
+        if inner.out != need or inner.group is not group:
             raise TreeError("output color of the grafted tree does not match")
         inner_state = inner.state
         # the spliced positions contribute b_P g b_P^-1, as slot j did

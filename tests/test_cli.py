@@ -222,6 +222,16 @@ def test_sampling_an_empty_component(capsys):
     assert doc["results"]["samples"] == []
 
 
+def test_sampling_no_orbits(capsys):
+    code, doc = run_json(capsys, ["orbits", "--group", "S3", "--strands", "2",
+                                  "--sample", "0"])
+    assert code == 0
+    assert doc["config"]["sample"] == 0
+    assert doc["results"]["points"] == 36
+    assert doc["results"]["samples"] == []
+    assert "orbits" not in doc["results"]
+
+
 def test_csv_projection(capsys):
     code, out = run(capsys, ["--format", "csv", "orbits", "--group", "C2",
                              "--strands", "2"])

@@ -7,13 +7,14 @@ import gbraids.operad
 import gbraids.trees
 from gbraids.braids import BraidWord, Permutation, all_permutations, cable_compose
 from gbraids.groups import make_group
-from gbraids.hurwitz import (DecoratedTuple, _output, braid_act,
-                             color_condition, component_objects, orbit,
-                             pi0_component)
+from gbraids.hurwitz import (DecoratedTuple, bare_space, braid_act,
+                             color_condition, component_objects,
+                             conjugate_act, hurwitz_generator, orbit,
+                             partition, pi0_component)
 from gbraids.operad import (Bounds, OperadError, all_operations,
                             check_operad_axioms, sigma_action)
-from gbraids.trees import (TreeError, compose_normal, grafter,
-                           identity_normal_form)
+from gbraids.trees import (TreeError, compose_normal, denormalize, grafter,
+                           identity_normal_form, normalize)
 
 S3 = make_group("S3")
 C2 = make_group("C2")
@@ -79,6 +80,14 @@ def test_identity_is_the_trivial_decoration():
     assert output(one) == g
 
 
+def carries_its_output(x):
+    """A colored point carries the index of its boundary output (0 when it
+    is empty); a bare point carries None."""
+    if x.is_bare():
+        return x.out is None
+    return x.out == (output(x).index if x.size else 0)
+
+
 @pytest.mark.parametrize("spec, max_r", [("C2", 3), ("S3", 2)])
 def test_carried_output_is_the_holonomy_product(spec, max_r):
     # every point is in exactly one component; the oracle is color_condition
@@ -87,39 +96,68 @@ def test_carried_output_is_the_holonomy_product(spec, max_r):
     for c in els:
         unit = identity_normal_form(c)
         assert unit.out == c.index == output(unit).index
+    empty = DecoratedTuple((), Permutation.identity(0), ())
+    assert empty.out == 0 and DecoratedTuple(()).out is None
     for r in range(1, max_r + 1):
         perms = all_permutations(r)
+        word = BraidWord(r, tuple(range(1, r)) + tuple(range(-1, -r, -1)))
         points = []
         for colors in itertools.product(els, repeat=r):
             for g in els:
-                for x in component_objects(colors, g):
+                component = component_objects(colors, g)
+                for x in component:
                     assert x.out == g.index == output(x).index
                     checked = DecoratedTuple(x.b, x.sigma, x.colors)
-                    assert checked.out is None
+                    assert checked.out == x.out
                     assert x == checked and hash(x) == hash(checked)
                     assert not x < checked and not checked < x
+                    assert normalize(denormalize(x)).out == x.out
+                    for j in range(1, r):
+                        for letter in (j, -j):
+                            assert carries_its_output(
+                                hurwitz_generator(x, letter))
+                    assert carries_its_output(braid_act(word, x))
+                    for h in els:
+                        assert carries_its_output(conjugate_act(h, x))
                     points.append(x)
-        assert sorted(points) == sorted(all_operations(group, r))
+                for o in partition(component):
+                    assert all(y.out == g.index for y in o)
+                if component:
+                    assert all(y.out == g.index for y in orbit(component[-1]))
+        operations = list(all_operations(group, r))
+        assert all(map(carries_its_output, operations))
+        assert sorted(points) == sorted(operations)
         for x in points:
             for rho in perms:
                 moved = sigma_action(x, rho)
                 assert moved.out == output(moved).index
             for j in range(1, r + 1):
                 need = els[x.hues[j - 1]]
+                splice = grafter(x, j)
                 for s in range(1, max_r):
                     for colors in itertools.product(els, repeat=s):
                         for y in component_objects(colors, need):
                             z = compose_normal(x, j, y)
                             assert z.out == output(z).index
+                            assert splice(y).out == z.out
+        # bare points carry no output, whoever builds them
+        for y in bare_space(group, r):
+            assert carries_its_output(DecoratedTuple(y.b))
+            assert carries_its_output(conjugate_act(els[-1], y))
+            assert carries_its_output(braid_act(word, y))
+            for j in range(1, r):
+                assert carries_its_output(hurwitz_generator(y, -j))
+        for o in partition(bare_space(group, r)):
+            assert all(map(carries_its_output, o))
 
 
-def test_compose_normal_checks_a_memoized_inner_output():
+def test_compose_normal_checks_the_inner_output_of_a_checked_build():
     g, h = S3.element(1), S3.element(2)
     x = identity_normal_form(g)
     built = component_objects((h,), h)[0]
-    memoized = DecoratedTuple(built.b, built.sigma, built.colors)
-    assert _output(memoized) == memoized.out == h.index
-    for y in (built, memoized):
+    checked = DecoratedTuple(built.b, built.sigma, built.colors)
+    assert checked.out == built.out == h.index
+    for y in (built, checked):
         with pytest.raises(TreeError):
             compose_normal(x, 1, y)
 

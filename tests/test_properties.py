@@ -13,7 +13,7 @@ from gbraids.braids import (BraidWord, Permutation, all_permutations,
                             cable_compose, cable_permutation, braids_equal,
                             normal_form, underlying_permutation)
 from gbraids.groups import make_group
-from gbraids.hurwitz import (DecoratedTuple, _output, bare_space,
+from gbraids.hurwitz import (DecoratedTuple, bare_space,
                              boundary_colors, braid_act, color_condition,
                              component_objects, conjugate_act,
                              hurwitz_generator, orbit, partition)
@@ -119,7 +119,9 @@ def test_random_tree_output_matches_normal_form(spec, r, rng):
     group = make_group(spec)
     tree = random_tree(group, r, rng)
     nf = normalize(tree, group)
-    assert color_condition(nf.sigma, nf.b, nf.colors) == output_color(tree, group)
+    want = color_condition(nf.sigma, nf.b, nf.colors)
+    assert want == output_color(tree, group)
+    assert nf.out == want.index
 
 
 @given(decorated_tuples(max_r=2), st.data())
@@ -156,16 +158,14 @@ def test_splice_associativity(x, data):
 def _same_as_checked_build(y, component=None):
     """y equals, and hashes like, its rebuild through the checked
     constructors, and is found by hash in its component when one is given.
-    A colored y with entries has the rebuild's output, which the rebuild
-    computes afresh and y may carry."""
+    y carries the output that the rebuild computes afresh (None when
+    bare)."""
     sigma = None if y.sigma is None else Permutation(y.sigma.images)
     z = DecoratedTuple(y.b, sigma, y.colors)
     assert y == z and z == y
     assert hash(y) == hash(z)
     assert component is None or y in component
-    if not y.is_bare() and y.size:
-        assert z.out is None
-        assert _output(y) == _output(z)
+    assert y.out == z.out
 
 
 @given(st.sampled_from(("S3", "D4")), st.integers(1, 4), st.data())
@@ -219,10 +219,7 @@ def test_checked_and_trusted_builds_are_the_same_value(spec, r, data):
         color_condition(y.sigma, y.b, y.colors) if i == j - 1 else c
         for i, c in enumerate(x.colors)))
     composite = compose_normal(x, j, y)
-    _same_as_checked_build(composite, component(composite))
-    _output(x)  # stored now, so the composite carries it
-    composite = compose_normal(x, j, y)
-    assert composite.out is not None
+    assert composite.out == x.out
     _same_as_checked_build(composite, component(composite))
     images = tuple(data.draw(st.permutations(range(1, r + 1))))
     assert Permutation(images) == Permutation._trusted(images)

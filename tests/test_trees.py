@@ -6,7 +6,7 @@ import pytest
 
 from gbraids.braids import Permutation
 from gbraids.groups import GroupMismatchError, make_group
-from gbraids.hurwitz import (DecoratedTuple, _output, boundary_colors,
+from gbraids.hurwitz import (DecoratedTuple, boundary_colors,
                              color_condition, component_objects)
 from gbraids.trees import (
     InputLeaf,
@@ -339,9 +339,9 @@ def test_one_grafter_matches_compose_normal_on_c2():
     for outer in outers:
         for j in range(1, outer.size + 1):
             _check_grafter(outer, j, by_output[outer.hues[j - 1]])
-            # a checked outer carries no output, and neither do composites
-            bare = DecoratedTuple(outer.b, outer.sigma, outer.colors)
-            _check_grafter(bare, j, by_output[outer.hues[j - 1]][:7])
+            # a checked outer computes the output that composites carry
+            checked = DecoratedTuple(outer.b, outer.sigma, outer.colors)
+            _check_grafter(checked, j, by_output[outer.hues[j - 1]][:7])
 
 
 def test_one_grafter_matches_compose_normal_on_an_s3_sample():
@@ -383,24 +383,17 @@ def test_grafter_raises_as_compose_normal():
     for inner in (empty, other, wrong):
         assert _error(lambda: splice(inner)) == \
             _error(lambda: compose_normal(outer, 1, inner))
-    # an output the first call computes and stores and the second reads
-    first, second = (DecoratedTuple(wrong.b, wrong.sigma, wrong.colors)
-                     for _ in range(2))
-    assert first.out is None and second.out is None
-    assert _error(lambda: splice(first)) == \
-        _error(lambda: compose_normal(outer, 1, first))
-    assert _error(lambda: compose_normal(outer, 1, second)) == \
-        _error(lambda: splice(second))
-    assert first.out == second.out == wrong.out
+    # a checked build of the wrong inner carries the same output
+    checked = DecoratedTuple(wrong.b, wrong.sigma, wrong.colors)
+    assert checked.out == wrong.out
+    assert _error(lambda: splice(checked)) == \
+        _error(lambda: compose_normal(outer, 1, checked))
     # a grafter that raised still splices
     assert splice(fits) == compose_normal(outer, 1, fits)
 
 
-def test_grafter_passes_on_the_outer_output_of_the_call():
+def test_grafter_passes_on_the_output_of_a_checked_outer():
     built = next(_components_with_output((el(1), el(3))))[1][0]
     outer = DecoratedTuple(built.b, built.sigma, built.colors)
     fits = component_objects((el(1),), el(1))[0]
-    splice = grafter(outer, 1)
-    assert splice(fits).out is None
-    _output(outer)  # stored on the outer after the grafter was built
-    assert splice(fits).out == outer.out == built.out
+    assert grafter(outer, 1)(fits).out == outer.out == built.out
