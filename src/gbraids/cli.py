@@ -9,8 +9,10 @@ CSV projection) on stdout:
   deliberately mutated braiding, and optionally the operad axiom streams.
 * ``grothendieck`` — flatten the fibered description of the tuple action
   and compare it against the direct one-step presentation.
-* ``coherence`` — solve for all scalar crossed structures over a group,
-  or check a structure loaded from a JSON file.
+* ``coherence`` — count the scalar crossed structures over a group and
+  list the first five (all of them with ``--all``), or check a structure
+  loaded from a JSON file.  For a prime modulus the cap of ``--bounds``
+  counts the vectors listed; for a composite one, value trials.
 
 Exit codes: 0 all checks passed, 1 failures found, 2 usage error,
 3 an instance or search cap was reached before an answer was complete.
@@ -33,7 +35,8 @@ from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import Optional
 
-from .algebra import CrossedAlgebraData, check_coherence, solve_coherence
+from .algebra import (CrossedAlgebraData, check_coherence, coherence_solutions,
+                      variable_order)
 from .groupoid import compare_grothendieck_to_direct
 from .groups import FiniteGroup, GroupError, make_group
 from .hurwitz import (DecoratedTuple, bare_space, component_objects,
@@ -222,14 +225,14 @@ def _run_coherence(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, i
         report = check_coherence(data)
         code = EXIT_PASS if report["coherent"] else EXIT_FAIL
         return report, code
-    solutions = solve_coherence(group, modulus=config.modulus,
-                                cap=bounds.cap)
-    vectors = [list(s.to_vector()) for s in solutions]
+    count, vectors = coherence_solutions(
+        group, config.modulus, cap=bounds.cap,
+        limit=None if config.list_all else 5)
     results = {
         "modulus": config.modulus,
-        "variables": len(vectors[0]) if vectors else 0,
-        "solutions": len(solutions),
-        "vectors": vectors if config.list_all else vectors[:5],
+        "variables": len(variable_order(group)),
+        "solutions": count,
+        "vectors": [list(v) for v in vectors],
     }
     return results, EXIT_PASS
 

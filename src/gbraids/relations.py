@@ -34,7 +34,7 @@ something nontrivial.
 
 Words are evaluated on traced programs, not trees: ``_Program`` applies
 them to a template once per 4096 assignments of its symbols, with every
-color and label the tuple of element indices it takes there.  ``_instances``
+color and label the tuple of element indices it takes there.  ``_chunks``
 parses a table entry's source once per group into such a template, and
 ``interpret_morphism`` traces a concrete tree as one with one assignment.
 Per word the program keeps each letter's generator, keys and sign (the
@@ -325,6 +325,13 @@ class _Program:
                 return error(message)
         return None
 
+    def first_failure(self) -> Optional[int]:
+        """The first assignment at which an open error fails, or None."""
+        return min((0 if x is None else next(
+            i for i, (a, b) in enumerate(zip(x, y)) if a != b)
+            for _, x, y, _, _ in self.open if x is None or x != y),
+            default=None)
+
     def terms(self, i: int) -> list[list]:
         """Per morphism, ``((gen, key), sign)`` per letter at assignment
         ``i``; the first open equality or shape error failing there raises."""
@@ -448,12 +455,12 @@ def relation_report(entry: dict, outcomes, max_reported: int) -> dict:
             "failure_count": failure_count, "failures": failures}
 
 
-def _instances(group: FiniteGroup, entry: dict, mutate: Optional[str] = None,
-               cap: Optional[int] = None):
-    """``(values, program, i)`` per assignment of one entry's symbols, in
-    order, for the first ``cap`` of them: ``program`` traces both words on
-    the entry's template for up to ``_CHUNK`` assignments, and the
-    assignment ``values`` is its ``i``-th."""
+def _chunks(group: FiniteGroup, entry: dict, mutate: Optional[str] = None,
+            cap: Optional[int] = None):
+    """``(chunk, program)`` per run of up to ``_CHUNK`` assignments of one
+    entry's symbols, in order, for the first ``cap`` of them: ``program``
+    traces both words on the entry's template, parsed once, at the
+    assignments of ``chunk``."""
     symbols = entry["symbols"]
     template = parse_tree(entry["source"], group,
                           dict(zip(symbols, symbols), e=group.identity))
@@ -461,7 +468,15 @@ def _instances(group: FiniteGroup, entry: dict, mutate: Optional[str] = None,
     assignments = itertools.islice(
         itertools.product(range(group.order), repeat=len(symbols)), cap)
     while chunk := list(itertools.islice(assignments, _CHUNK)):
-        program = _Program(group, template, words, symbols, chunk, mutate)
+        yield chunk, _Program(group, template, words, symbols, chunk, mutate)
+
+
+def _instances(group: FiniteGroup, entry: dict, mutate: Optional[str] = None,
+               cap: Optional[int] = None):
+    """``(values, program, i)`` per assignment of one entry's symbols, in
+    order, for the first ``cap`` of them: the assignment ``values`` is the
+    ``i``-th that ``program`` traces (see ``_chunks``)."""
+    for chunk, program in _chunks(group, entry, mutate, cap):
         for i, values in enumerate(chunk):
             yield values, program, i
 

@@ -8,8 +8,9 @@ import pytest
 from gbraids import algebra, relations, trees
 from gbraids.algebra import (AlgebraError, CrossedAlgebraData,
                              builtin_group_example, check_coherence,
-                             coherence_equations, evaluate_morphism,
-                             evaluate_object, solve_coherence, variable_order)
+                             coherence_equations, coherence_solutions,
+                             evaluate_morphism, evaluate_object,
+                             solve_coherence, variable_order)
 from gbraids.groups import make_group
 from gbraids.operad import CapExceeded
 from gbraids.relations import (GENERATORS, MorphismLetter, MorphismWord,
@@ -39,6 +40,12 @@ FROZEN_EQUATION_DIGESTS = {
 
 FROZEN_C2_RANK = 28
 FROZEN_C2_SOLUTIONS = 256  # 2 ** (36 - 28)
+
+# the number of coherent data per (group, modulus)
+FROZEN_COUNTS = {("C2", 2): 2 ** 8, ("C2", 3): 3 ** 7,
+                 ("C3", 2): 2 ** 16, ("C3", 3): 3 ** 17,
+                 ("S3", 2): 2 ** 68, ("S3", 3): 3 ** 68,
+                 ("D4", 2): 2 ** 124}
 
 
 def test_variable_count_and_breakdown():
@@ -119,6 +126,122 @@ def test_solution_count_matches_elimination_oracle():
     for vec in vectors:
         for eq in equations:
             assert sum(c * vec[index[v]] for v, c in eq.items()) % 2 == 0
+
+
+def _gf3_rank(equations, order):
+    """Textbook row reduction over GF(3), rows as lists of residues."""
+    index = {v: i for i, v in enumerate(order)}
+    rows = []
+    for eq in equations:
+        row = [0] * len(order)
+        for v, c in eq.items():
+            row[index[v]] = c % 3
+        rows.append(row)
+    rank = 0
+    for col in range(len(order)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        scale = rows[rank][col]  # 1 and 2 are their own inverses mod 3
+        rows[rank] = [x * scale % 3 for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            if factor := rows[i][col]:
+                rows[i] = [(x - factor * y) % 3
+                           for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("group", [C2, C3], ids=lambda g: g.label)
+def test_mod3_count_matches_a_fresh_rank(group):
+    order = variable_order(group)
+    rank = _gf3_rank(coherence_equations(group), order)
+    count, vectors = coherence_solutions(group, 3, limit=0)
+    assert count == 3 ** (len(order) - rank) == FROZEN_COUNTS[
+        group.label, 3]
+    assert vectors == []
+
+
+@pytest.mark.parametrize("spec, modulus", sorted(FROZEN_COUNTS))
+def test_solution_counts_pinned(spec, modulus):
+    """The count is exact, and the first listed vectors come in order and
+    pass the full check (D4's check is left to the count)."""
+    group = make_group(spec)
+    count, vectors = coherence_solutions(group, modulus, limit=5)
+    assert count == FROZEN_COUNTS[spec, modulus]
+    assert len(vectors) == 5 and vectors == sorted(set(vectors))
+    assert vectors[0] == (0,) * len(variable_order(group))
+    if spec != "D4":
+        for vector in vectors:
+            data = CrossedAlgebraData.from_vector(group, modulus, vector)
+            assert check_coherence(data)["coherent"], vector
+
+
+def test_mod3_listing_is_ordered_and_satisfies_every_equation():
+    order = variable_order(C2)
+    index = {v: i for i, v in enumerate(order)}
+    equations = coherence_equations(C2)
+    vectors = [s.to_vector() for s in solve_coherence(C2, modulus=3)]
+    assert len(vectors) == FROZEN_COUNTS["C2", 3]
+    assert vectors == sorted(set(vectors))
+    for vec in vectors:
+        for eq in equations:
+            assert sum(c * vec[index[v]] for v, c in eq.items()) % 3 == 0
+    for data in solve_coherence(C2, modulus=3)[::300]:
+        assert check_coherence(data)["coherent"] is True
+
+
+def test_composite_modulus_matches_a_brute_force():
+    """C1 has 8 variables: every vector of (Z/4)^8 is tried against the
+    equations, and the search lists exactly the ones that pass."""
+    c1 = make_group("C1")
+    order = variable_order(c1)
+    index = {v: i for i, v in enumerate(order)}
+    equations = [[(index[v], c) for v, c in eq.items()]
+                 for eq in coherence_equations(c1)]
+    brute = [vec for vec in itertools.product(range(4), repeat=len(order))
+             if all(sum(c * vec[j] for j, c in eq) % 4 == 0
+                    for eq in equations)]
+    assert coherence_solutions(c1, 4) == (len(brute), brute)
+    assert len(brute) == 16
+    # a large prime still takes the elimination path
+    p = 2 ** 31 - 1
+    assert coherence_solutions(c1, p, limit=1) == (p ** 2, [(0,) * 8])
+    with pytest.raises(CapExceeded, match="value trials"):
+        solve_coherence(C2, modulus=4, cap=100)
+
+
+def test_open_failure_raises_as_terms_does(monkeypatch):
+    """An entry whose words fail at some assignments makes the equations
+    and the solvers raise what ``_Program.terms`` raises at the first
+    failing instance, also past a chunk boundary."""
+    entries = [
+        {"id": "labels", "symbols": ["h", "k"],
+         "source": "T(L[h](leaf:1:0),L[k](leaf:2:0))",
+         "lhs": [["beta", [], False]], "rhs": [["delta", [0], False]]},
+        {"id": "shape", "symbols": ["x"], "source": "T(leaf:1:x,leaf:2:x)",
+         "lhs": [["c", [], False]], "rhs": [["alpha", [], False]]},
+    ]
+    monkeypatch.setattr(relations, "_CHUNK", 5)
+    for entry in entries:
+        expected = None
+        for _, program, i in relations._instances(S3, entry):
+            try:
+                program.terms(i)
+            except (RelationError, TreeError) as exc:
+                expected = type(exc), str(exc)
+                break
+        assert expected is not None
+        monkeypatch.setattr(algebra, "relation_entries",
+                            lambda ids, entry=entry: [entry])
+        for solve in (coherence_equations, lambda g: coherence_solutions(g),
+                      lambda g: coherence_solutions(g, 3),
+                      lambda g: coherence_solutions(g, 4)):
+            with pytest.raises(expected[0]) as error:
+                solve(S3)
+            assert str(error.value) == expected[1]
 
 
 def _walk_key(sub, gen, group):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import time
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -39,6 +40,10 @@ GOLDEN = [
      "2aea38daca64dd4028a90fbba36a409ef2a4ce00030dffe5b6a79a4d0ef5cff6"),
     ("coherence --group C2", 0,
      "61cc2bf6fa5b9e235678b2b1c0abead4798f76db4a1ea600f1eb470aae725035"),
+    ("coherence --group C2 --modulus 3 --all", 0,
+     "0c75c812fd82b3f1a9c4457791e58ac179ac549089587164b0435130c3077372"),
+    ("coherence --group C2 --modulus 1 --all", 0,
+     "08ab33d35baf8ee1554307b236b886f04c99d35f87af9d711789f137d9affee3"),
     ("orbits --group S3 --signature 2,5,1,3->1", 0,
      "2f0a71d60996276e2d6f4b3d56b7f35e550742cdbc046647c0dfade49b0dba1d"),
     ("orbits --group D4 --strands 4", 0,
@@ -260,6 +265,35 @@ def test_coherence_solve(capsys):
     assert len(doc["results"]["vectors"]) == 5
     code, doc = run_json(capsys, ["coherence", "--group", "C2", "--all"])
     assert len(doc["results"]["vectors"]) == 256
+
+
+def test_coherence_solve_beyond_c2(capsys):
+    """Groups whose solutions cannot all be listed report the exact count
+    and the first five vectors; ``--all`` then exits on the cap."""
+    for argv, count in ((["--group", "D4"], 2 ** 124),
+                        (["--group", "S3", "--modulus", "3"], 3 ** 68)):
+        code, doc = run_json(capsys, ["coherence", *argv])
+        assert code == 0
+        results = doc["results"]
+        assert results["solutions"] == count
+        assert len(results["vectors"]) == 5
+        assert results["variables"] == len(results["vectors"][0])
+        code, doc = run_json(capsys, ["coherence", *argv, "--all"])
+        assert code == 3
+        assert "exceeds the cap of 1000000 vectors" in doc["results"]["error"]
+
+
+@pytest.mark.parametrize("modulus", ["4", "1" + "0" * 38 + "7"])
+def test_coherence_composite_modulus_ends_on_the_cap(capsys, modulus):
+    """A composite modulus, and one too large to test for primality, are
+    searched without recursion and stop on the cap of value trials."""
+    start = time.perf_counter()
+    code, doc = run_json(capsys, ["coherence", "--group", "D4", "--modulus",
+                                  modulus, "--bounds", "cap=1000"])
+    assert code == 3
+    assert doc["results"] == {
+        "error": "coherence search exceeded 1000 value trials"}
+    assert time.perf_counter() - start < 1.0
 
 
 def test_coherence_check_data_file(capsys, tmp_path):
