@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from .groups import FiniteGroup, GroupElement
 from .operad import CapExceeded
-from .relations import (_KEYS, GENERATORS, MorphismWord, _chunks, _instances,
+from .relations import (_KEYS, GENERATORS, MorphismWord, _chunks,
                         _Program, relation_entries, relation_report)
 from .trees import GTree, output_color, validate
 
@@ -164,12 +164,12 @@ def _indices(group: FiniteGroup) -> dict[str, dict[tuple[int, ...], int]]:
 
 def _traced(group: FiniteGroup, relation_ids):
     """``(size, program)`` per traced chunk of each entry, in order: an open
-    equality or shape error raises at the first instance where it fails,
-    as ``_Program.terms`` does there."""
+    equality or shape error raises through ``_Program.terms`` at the first
+    instance where it fails."""
     for entry in relation_entries(relation_ids):
         for chunk, program in _chunks(group, entry):
-            if (i := program.first_failure()) is not None:
-                raise program.failure(i)
+            if failing := [i for errors in program.errors for i in errors]:
+                program.terms(min(failing))
             yield len(chunk), program
 
 
@@ -224,14 +224,15 @@ def coherence_equations(group: FiniteGroup, relation_ids=None):
 
 
 def _coherence_outcomes(data: CrossedAlgebraData, entry: dict):
-    for values, program, i in _instances(data.group, entry):
-        left, right = (sum(sign * data.values[var] for var, sign in side)
-                       % data.modulus for side in program.terms(i))
-        yield None if left == right else {
-            "assignment": dict(zip(entry["symbols"], values)),
-            "lhs": left,
-            "rhs": right,
-        }
+    for chunk, program in _chunks(data.group, entry):
+        for i, values in enumerate(chunk):
+            left, right = (sum(sign * data.values[var] for var, sign in side)
+                           % data.modulus for side in program.terms(i))
+            yield None if left == right else {
+                "assignment": dict(zip(entry["symbols"], values)),
+                "lhs": left,
+                "rhs": right,
+            }
 
 
 def check_coherence(data: CrossedAlgebraData, relation_ids=None,

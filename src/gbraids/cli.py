@@ -31,7 +31,7 @@ import random
 import sys
 from pathlib import Path
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from typing import Optional
 
@@ -128,9 +128,9 @@ def _decorated_json(x: DecoratedTuple) -> dict:
 # -- subcommands ---------------------------------------------------------
 
 
-def _run_orbits(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]:
-    if args.signature:
-        sig = parse_signature(args.signature, group)
+def _run_orbits(config: RunConfig, group: FiniteGroup) -> tuple[dict, int]:
+    if config.signature:
+        sig = parse_signature(config.signature, group)
         r = len(sig.inputs)
         # one candidate per permutation and choice of b_1 .. b_{r-1}
         if math.factorial(r) * group.order ** max(r - 1, 0) > config.bounds[2]:
@@ -141,16 +141,16 @@ def _run_orbits(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]
         space = {"space": "component", "signature": format_signature(sig)}
     else:
         # for order >= 2, r > cap.bit_length() alone shows order^r > cap
-        r, cap = args.strands, config.bounds[2]
+        r, cap = config.strands, config.bounds[2]
         if group.order > 1 and r > cap.bit_length() or group.order ** r > cap:
             raise CapExceeded(f"{group.order}^{r} tuples exceed the cap {cap}")
         points = bare_space(group, r)
         space = {"space": "bare", "strands": r}
     results = dict(space)
     results["points"] = len(points)
-    if args.sample is not None:
+    if config.sample is not None:
         rng = random.Random(config.seed)
-        starts = [rng.choice(points) for _ in range(args.sample)] \
+        starts = [rng.choice(points) for _ in range(config.sample)] \
             if points else []
         results["samples"] = [{"start": _decorated_json(start),
                                "orbit_size": len(orbit(start))}
@@ -171,7 +171,7 @@ def _relation_worker(spec: str, relation_id: str, mutate, cap):
     return report["relations"][0]
 
 
-def _run_check(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]:
+def _run_check(config: RunConfig, group: FiniteGroup) -> tuple[dict, int]:
     bounds = Bounds(*config.bounds)
     # unknown names are usage errors, raised early
     entries = relation_entries(config.relations)
@@ -205,10 +205,10 @@ def _run_check(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]:
     return results, EXIT_PASS
 
 
-def _run_grothendieck(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]:
+def _run_grothendieck(config: RunConfig, group: FiniteGroup) -> tuple[dict, int]:
     # each presentation has r!|G|^r objects; r > cap.bit_length() alone
     # shows r! >= 2^(r-1) > cap
-    r, cap = args.strands, config.bounds[2]
+    r, cap = config.strands, config.bounds[2]
     if r > cap.bit_length() or math.factorial(r) * group.order ** r > cap:
         raise CapExceeded(
             f"{r}!*{group.order}^{r} objects exceed the cap {cap}")
@@ -217,7 +217,7 @@ def _run_grothendieck(args, config: RunConfig, group: FiniteGroup) -> tuple[dict
     return {"strands": r, **report}, code
 
 
-def _run_coherence(args, config: RunConfig, group: FiniteGroup) -> tuple[dict, int]:
+def _run_coherence(config: RunConfig, group: FiniteGroup) -> tuple[dict, int]:
     bounds = Bounds(*config.bounds)
     if config.data_path:
         payload = json.loads(Path(config.data_path).read_text())
@@ -321,33 +321,22 @@ def main(argv=None) -> int:
         parser.error("orbits needs --strands or --signature")
     if args.command == "orbits" and args.signature and args.strands is not None:
         parser.error("--strands and --signature are mutually exclusive")
-    for name in ("strands", "sample"):
-        if getattr(args, name, None) is not None and getattr(args, name) < 0:
-            parser.error(f"--{name} must be >= 0")
-    config = RunConfig(
-        command=args.command,
-        group=args.group,
-        strands=getattr(args, "strands", None),
-        signature=getattr(args, "signature", None),
-        sample=getattr(args, "sample", None),
-        relations=tuple(args.relations.split(","))
-        if getattr(args, "relations", None) else None,
-        mutate=getattr(args, "mutate", None),
-        operad=getattr(args, "operad", False),
-        bounds=(bounds.max_arity, bounds.max_order, bounds.cap),
-        modulus=getattr(args, "modulus", 2),
-        data_path=getattr(args, "data_path", None),
-        list_all=getattr(args, "list_all", False),
-        seed=args.seed,
-        jobs=args.jobs,
-        format=args.format,
-    )
+    for name, least in (("strands", 0), ("sample", 0), ("jobs", 1)):
+        if (value := getattr(args, name, None)) is not None and value < least:
+            parser.error(f"--{name} must be >= {least}")
+    # every field is the option of its name, where the subcommand has one
+    values = {f.name: getattr(args, f.name, f.default)
+              for f in fields(RunConfig)}
+    text = values["relations"]
+    values["relations"] = tuple(text.split(",")) if text else None
+    values["bounds"] = (bounds.max_arity, bounds.max_order, bounds.cap)
+    config = RunConfig(**values)
     try:
         group = make_group(config.group)
     except GroupError as exc:
         parser.error(str(exc))
     try:
-        results, code = _RUNNERS[config.command](args, config, group)
+        results, code = _RUNNERS[config.command](config, group)
     except (HurwitzError, RelationError, OSError, ValueError) as exc:
         parser.error(str(exc))
     except CapExceeded as exc:

@@ -39,9 +39,11 @@ parses a table entry's source once per group into such a template, and
 ``interpret_morphism`` traces a concrete tree as one with one assignment.
 Per word the program keeps each letter's generator, keys and sign (the
 scalars of ``algebra``), the braid, the target, and the normal forms of
-source and target as columns over the assignments.  Only when a relation
-check asks does it apply the braid to the source columns, once for all
-the assignments, and compare them column by column with the target's.
+source and target as columns over the assignments.  It answers a chunk at
+a time: ``errors`` maps each word's failing assignments to its first
+failing letter, and ``faults`` adds those where the braid, applied to the
+source columns once for all the assignments, does not give the target's.
+``terms`` is the one view of a single assignment.
 """
 from __future__ import annotations
 
@@ -211,8 +213,9 @@ def interpret_morphism(source: GTree, word: MorphismWord,
     if g is None:
         raise RelationError("cannot interpret over an undetermined group")
     program = _Program(g, source, (word,), mutate=mutate)
-    if (error := program.fault(0, 0)) is not None:
-        raise error
+    if fault := program.faults[0].get(0):
+        error, message = fault
+        raise error(message)
     return InterpretedMorphism(source, program.target(0, 0), program.braids[0])
 
 
@@ -228,6 +231,13 @@ _KEYS = {"alpha": ("00", "01", "1"), "ell": ("1",), "r": ("0",),
 _CHUNK = 4096  # assignments traced at a time, so that tuples stay small
 
 
+def _normal(entries) -> tuple:
+    """A normal form from ``_Program._leaves``: sigma's images, and the
+    decoration and hue columns; bad slots raise ``TreeError``."""
+    images, hues = _by_slot(entries)
+    return tuple(images), [entry[1] for entry in entries], hues
+
+
 class _Program:
     """Morphism words applied once to a template of one group (``mutate``
     acting on the first), with every color and label the tuple of its
@@ -237,7 +247,8 @@ class _Program:
     sign; ``ends`` the normal forms of its source and target, each as
     sigma's images, the same at every assignment, and the decoration and
     hue columns; ``open`` keeps, tagged with its word, each equality a
-    letter needs and a shape error, which ends the word."""
+    letter needs and a shape error, which ends the word.  ``errors`` and
+    ``faults`` read these for all the assignments at once."""
 
     def __init__(self, group: FiniteGroup, template: GTree, morphisms,
                  symbols=(), assignments=((),), mutate=None) -> None:
@@ -251,6 +262,7 @@ class _Program:
 
         tree = _map_leaves(template, lambda leaf: InputLeaf(
             leaf.slot, indices(leaf.color)), indices)
+        source = self._leaves(tree)
         for self.word, morphism in enumerate(morphisms):
             current, terms, written, ends = tree, [], [], None
             try:
@@ -268,10 +280,8 @@ class _Program:
                     terms.append((letter.gen, list(zip(*self._key(
                         site, letter.gen))), -1 if letter.inverse else 1))
                     current = after
-                ends = []  # bad slots raise, as in ``normalize``
-                for entries in map(self._leaves, (tree, current)):
-                    images, hues = _by_slot(entries)
-                    ends.append((tuple(images), [e[1] for e in entries], hues))
+                # bad slots raise, as in ``normalize``
+                ends = _normal(source), _normal(self._leaves(current))
             except (RelationError, TreeError) as exc:
                 self.open.append((self.word, None, None, type(exc), str(exc)))
             self.sides.append(terms)
@@ -318,77 +328,56 @@ class _Program:
             sub = subtree_at(site, tuple(map(int, spec.lstrip("L"))))
             yield sub.label if spec[0] == "L" else self.out(sub)
 
-    def failure(self, i: int, w: Optional[int] = None):
-        """The first open error of word ``w``, or of any, failing at ``i``."""
+    @functools.cached_property
+    def errors(self) -> list[dict[int, tuple]]:
+        """Per word, ``{assignment: (error type, message)}``: the first open
+        equality or shape error failing at each assignment where one does."""
+        errors = [{} for _ in self.sides]
+        everywhere = range(len(self.unit))
         for word, x, y, error, message in self.open:
-            if w in (None, word) and (x is None or x[i] != y[i]):
-                return error(message)
-        return None
-
-    def first_failure(self) -> Optional[int]:
-        """The first assignment at which an open error fails, or None."""
-        return min((0 if x is None else next(
-            i for i, (a, b) in enumerate(zip(x, y)) if a != b)
-            for _, x, y, _, _ in self.open if x is None or x != y),
-            default=None)
-
-    def terms(self, i: int) -> list[list]:
-        """Per morphism, ``((gen, key), sign)`` per letter at assignment
-        ``i``; the first open equality or shape error failing there raises."""
-        if (error := self.failure(i)) is not None:
-            raise error
-        return [[((gen, keys[i]), sign) for gen, keys, sign in side]
-                for side in self.sides]
+            if x is None or x != y:
+                failing = everywhere if x is None else (
+                    i for i, (a, b) in enumerate(zip(x, y)) if a != b)
+                for i in failing:
+                    errors[word].setdefault(i, (error, message))
+        return errors
 
     @functools.cached_property
-    def inconsistent(self) -> list[set[int]]:
-        """Per word, the assignments at which its braid does not carry the
-        source normal form to the target's: all of them when the images
-        differ, else those where a decoration or hue column differs."""
-        found = []
-        for braid, ends in zip(self.braids, self.ends):
-            bad = set()
+    def faults(self) -> list[dict[int, tuple]]:
+        """Per word, its ``errors``, and ``_INCONSISTENT`` at the other
+        assignments where its braid does not carry the source normal form
+        to the target's: all of them when the images differ, else those
+        where a decoration or hue column differs."""
+        faults = []
+        for braid, ends, errors in zip(self.braids, self.ends, self.errors):
+            found = dict(errors)
             if ends is not None:
                 (images, columns, hues), target = ends
                 images, columns = _act_columns(
                     braid.letters, images, columns, hues, self.group)
-                if images != target[0]:
-                    bad.update(range(len(self.unit)))
-                else:
-                    for x, y in zip(columns + hues, target[1] + target[2]):
-                        if x != y:
-                            bad.update(i for i, (a, b) in enumerate(zip(x, y))
-                                       if a != b)
-            found.append(bad)
-        return found
+                bad = range(len(self.unit)) if images != target[0] else (
+                    i for x, y in zip(columns + hues, target[1] + target[2])
+                    if x != y for i, (a, b) in enumerate(zip(x, y)) if a != b)
+                for i in bad:
+                    found.setdefault(i, (RelationError, _INCONSISTENT))
+            faults.append(found)
+        return faults
 
-    def fault(self, i: int, w: int):
-        """Word ``w``'s first open error failing at ``i``, else that of its
-        braid not carrying the source normal form to the target's, or None."""
-        error = self.failure(i, w)
-        if error is None and i in self.inconsistent[w]:
-            error = RelationError(_INCONSISTENT)
-        return error
+    def terms(self, i: int) -> list[list]:
+        """Per morphism, ``((gen, key), sign)`` per letter at assignment
+        ``i``; the first open equality or shape error failing there raises."""
+        for errors in self.errors:
+            if i in errors:
+                error, message = errors[i]
+                raise error(message)
+        return [[((gen, keys[i]), sign) for gen, keys, sign in side]
+                for side in self.sides]
 
     def target(self, w: int, i: int) -> GTree:
         """Word ``w``'s target at assignment ``i``, as a tree of elements."""
         els = self.group.elements()
         return _map_leaves(self.targets[w], lambda leaf: InputLeaf(
             leaf.slot, els[leaf.color[i]]), lambda h: els[h[i]])
-
-    @functools.cached_property
-    def targets_differ(self) -> bool:
-        return self.targets[0] != self.targets[1]
-
-    def check(self, i: int) -> Optional[str]:
-        """Why the words disagree at ``i`` short of their braids, or None: a
-        side's failing letter or normal-form check, then the targets."""
-        for w, side in enumerate(("left", "right")):
-            if (error := self.fault(i, w)) is not None:
-                return f"{side} side: {error}"
-        if self.targets_differ and self.target(0, i) != self.target(1, i):
-            return "targets differ"
-        return None
 
 
 # -- the relation table --------------------------------------------------
@@ -471,33 +460,32 @@ def _chunks(group: FiniteGroup, entry: dict, mutate: Optional[str] = None,
         yield chunk, _Program(group, template, words, symbols, chunk, mutate)
 
 
-def _instances(group: FiniteGroup, entry: dict, mutate: Optional[str] = None,
-               cap: Optional[int] = None):
-    """``(values, program, i)`` per assignment of one entry's symbols, in
-    order, for the first ``cap`` of them: the assignment ``values`` is the
-    ``i``-th that ``program`` traces (see ``_chunks``)."""
-    for chunk, program in _chunks(group, entry, mutate, cap):
-        for i, values in enumerate(chunk):
-            yield values, program, i
-
-
 def _outcomes(group: FiniteGroup, entry: dict, mutate: Optional[str] = None,
               cap: Optional[int] = None):
     """None or a failure per assignment of one entry, for the first ``cap``
-    of them.  A side's braid depends only on the template, so the two are
-    compared once, at the first instance that reaches them."""
+    of them: a side's fault (the left's first), else differing targets,
+    else differing braids.  A side's braid depends only on the template, so
+    the two are compared once, when an assignment first reaches them."""
     symbols = entry["symbols"]
     braids = None  # the braids' reason, "" when they are equal
-    for values, program, i in _instances(group, entry, mutate, cap):
-        reason = program.check(i)
-        if reason is None:
-            if braids is None:
-                braids = "" if braids_equal(*program.braids) else \
-                    "braids differ: {} vs {}".format(  # e: the empty word
-                        *(str(b) or "e" for b in program.braids))
-            reason = braids or None
-        yield None if reason is None else {
-            "assignment": dict(zip(symbols, values)), "reason": reason}
+    for chunk, program in _chunks(group, entry, mutate, cap):
+        reasons = {}
+        for side, faults in zip(("left", "right"), program.faults):
+            for i, (_, message) in faults.items():
+                reasons.setdefault(i, f"{side} side: {message}")
+        if program.targets[0] != program.targets[1]:
+            for i in range(len(chunk)):
+                if i not in reasons and \
+                        program.target(0, i) != program.target(1, i):
+                    reasons[i] = "targets differ"
+        if braids is None and len(reasons) < len(chunk):
+            braids = "" if braids_equal(*program.braids) else \
+                "braids differ: {} vs {}".format(  # e: the empty word
+                    *(str(b) or "e" for b in program.braids))
+        for i, values in enumerate(chunk):
+            reason = reasons.get(i, braids)
+            yield {"assignment": dict(zip(symbols, values)),
+                   "reason": reason} if reason else None
 
 
 def check_all_relations(group: FiniteGroup,

@@ -227,9 +227,10 @@ def test_open_failure_raises_as_terms_does(monkeypatch):
     monkeypatch.setattr(relations, "_CHUNK", 5)
     for entry in entries:
         expected = None
-        for _, program, i in relations._instances(S3, entry):
+        for chunk, program in relations._chunks(S3, entry):
             try:
-                program.terms(i)
+                for i in range(len(chunk)):
+                    program.terms(i)
             except (RelationError, TreeError) as exc:
                 expected = type(exc), str(exc)
                 break
@@ -380,7 +381,8 @@ def test_entries_are_traced_in_chunks(monkeypatch):
 
     monkeypatch.setattr(relations, "_Program", Recorded)
     entry = get_relation("pentagon")
-    values, program, i = next(relations._instances(s4, entry))
+    (values, *_), program = next(relations._chunks(s4, entry))
+    i = 0
     left, right = program.terms(i)
     assert len(traced) == 1 and 0 < traced[0] <= 4096
     source = parse_tree(entry["source"], s4,

@@ -200,6 +200,19 @@ def test_bad_jobs_environment_is_usage_error(capsys, monkeypatch):
     assert doc["config"]["jobs"] == 1
 
 
+def test_jobs_below_one_is_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv("GBRAIDS_JOBS", raising=False)
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--group", "C2", "--jobs", "0"])
+    assert err.value.code == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    monkeypatch.setenv("GBRAIDS_JOBS", "-1")
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--group", "C2", "--relations", "triangle"])
+    assert err.value.code == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_common_options_accepted_on_either_side(capsys):
     _, before = run_json(capsys, ["--seed", "9", "orbits", "--group", "C2",
                                   "--strands", "2", "--sample", "1"])

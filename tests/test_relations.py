@@ -1,6 +1,7 @@
 """The defining relations hold verbatim; the flipped braiding breaks them."""
 import itertools
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,8 +12,9 @@ import pytest
 import gbraids
 
 from gbraids import relations
-from gbraids.algebra import (builtin_group_example, check_coherence,
-                             coherence_equations)
+from gbraids.algebra import (CrossedAlgebraData, builtin_group_example,
+                             check_coherence, coherence_equations,
+                             variable_order)
 from gbraids.groups import make_group
 from gbraids.relations import (
     RELATION_IDS,
@@ -381,6 +383,26 @@ def test_braids_differ_reason_names_the_empty_word(spec):
     first = next(_outcomes(make_group(spec), DOUBLE_BRAIDING))
     assert first == {"assignment": {"x1": 0, "x2": 0},
                      "reason": "braids differ: e vs 1 1"}
+
+
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    """Every report equals its report at the default chunk size when the
+    entries are traced 7 assignments at a time, so that failing reasons
+    are read from many chunks of one entry."""
+    rng = random.Random(4)
+    data = CrossedAlgebraData.from_vector(
+        S3, 3, [rng.randrange(3) for _ in variable_order(S3)])
+
+    def reports():
+        return [check_all_relations(S3, max_reported=S3.order ** 4),
+                check_all_relations(S3, mutate="braiding",
+                                    max_reported=S3.order ** 4),
+                list(_outcomes(S3, DOUBLE_BRAIDING)),
+                check_coherence(data)]
+
+    expected = reports()
+    monkeypatch.setattr(relations, "_CHUNK", 7)
+    assert reports() == expected
 
 
 def test_wrong_braid_shadows_fail_the_normal_form_check(monkeypatch):
